@@ -58,7 +58,6 @@ class SpinClass(IntEnum):
     top = 2
 
 
-RACKET_CLASSES = tuple(s for s in SurfaceClass if s.is_racket)
 SURFACE_NAMES = tuple(s.name for s in SurfaceClass)
 SPIN_NAMES = tuple(s.name for s in SpinClass)
 
@@ -166,6 +165,8 @@ def load_wav(path: str | Path) -> AudioClip:
     """Load a PCM16 or float32 WAV file as a mono clip in [-1, 1].
 
     Stereo input is downmixed by the arithmetic mean of the two channels.
+    A float file holding a NaN or infinite sample is rejected with
+    FormatError.
     """
     path = Path(path)
     fmt, data = _parse_wav_chunks(path.read_bytes(), path)
@@ -185,6 +186,9 @@ def load_wav(path: str | Path) -> AudioClip:
         x /= PCM16_SCALE
     else:
         x = np.frombuffer(data[: len(data) // 4 * 4], dtype="<f4").astype(np.float64)
+        finite = np.isfinite(x)
+        if not finite.all():
+            raise FormatError(f"{path}: non-finite float sample at index {np.argmin(finite)}")
         x = np.clip(x, -1.0, 1.0)  # out-of-range float samples are clipped
     if fmt["channels"] == 2:
         x = x[: x.size // 2 * 2].reshape(-1, 2).mean(axis=1)

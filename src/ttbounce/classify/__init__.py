@@ -4,6 +4,12 @@ Three interchangeable model families sit behind one predict interface:
 the CNN (primary method, normalized mel input), a linear one-vs-rest SVM
 (flattened mel input), and per-class diagonal Gaussian mixtures (MFCC
 input).
+
+Each family is one ``ModelFamily`` record beside its model code (kind
+tag, input transform and shape, scorer, TTSB1 descriptor and tensor
+layout, trainer). ``METHODS``, ``features_for_model``, ``predict``,
+``train_task_model`` and ``save_model``/``load_model`` look families up
+in the closed ``FAMILIES`` map.
 """
 
 from __future__ import annotations
@@ -29,14 +35,17 @@ from .data import (
     mfcc_inputs,
     stratified_split,
 )
+from .gmm import DEFAULT_COMPONENTS as GMM_DEFAULT_COMPONENTS
 from .gmm import GmmModel, gmm_train, predict_gmm
-from .model_io import Model, load_model, save_model
+from .model_io import FAMILIES, Model, family_of, load_model, save_model
+from .svm import DEFAULT_EPOCHS as SVM_DEFAULT_EPOCHS
 from .svm import SvmModel, predict_svm, svm_train
 
-METHODS = ("cnn", "svm", "gmm")
+METHODS = tuple(FAMILIES)
 
 __all__ = [
     "CnnModel",
+    "FAMILIES",
     "GmmModel",
     "Model",
     "SvmModel",
@@ -70,11 +79,7 @@ def features_for_model(model: Model, cells: np.ndarray) -> np.ndarray:
     cells = np.asarray(cells, dtype=np.float64)
     if cells.ndim == 2:
         cells = cells[None]
-    if isinstance(model, CnnModel):
-        return mel_inputs(cells)
-    if isinstance(model, SvmModel):
-        return flat_inputs(cells)
-    return mfcc_inputs(cells)
+    return family_of(model).inputs(cells)
 
 
 def predict(model: Model, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -84,31 +89,15 @@ def predict(model: Model, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     normalized mel for the CNN, flat 448 for the SVM, 20 MFCCs for the
     GMM (batched or single).
     """
+    family = family_of(model)
+    shape = family.input_shape(model)
     x = np.asarray(features, dtype=np.float64)
-    if isinstance(model, CnnModel):
-        if x.ndim == 2:
-            x = x[None]
-        if x.ndim != 3 or x.shape[1:] != model.input_shape:
-            raise ParameterError(
-                f"CNN expects (N, {model.input_shape[0]}, {model.input_shape[1]}), got {x.shape}"
-            )
-        scores = predict_cnn(model, x)
-    elif isinstance(model, SvmModel):
-        x = np.atleast_2d(x)
-        if x.shape[1] != model.weights.shape[1]:
-            raise ParameterError(
-                f"SVM expects {model.weights.shape[1]} features, got {x.shape[1]}"
-            )
-        scores = predict_svm(model, x)
-    elif isinstance(model, GmmModel):
-        x = np.atleast_2d(x)
-        if x.shape[1] != model.means.shape[2]:
-            raise ParameterError(
-                f"GMM expects {model.means.shape[2]} features, got {x.shape[1]}"
-            )
-        scores = predict_gmm(model, x)
-    else:
-        raise ParameterError(f"unknown model type {type(model).__name__}")
+    if x.ndim == len(shape):
+        x = x[None]
+    if x.shape[1:] != shape:
+        dims = ", ".join(map(str, shape))
+        raise ParameterError(f"{family.kind.upper()} expects (N, {dims}), got {x.shape}")
+    scores = family.score(model, x)
     return scores.argmax(axis=1), scores
 
 
@@ -116,52 +105,16 @@ def train_task_model(
     records: list[FeatureRecord],
     method: str,
     config: TrainConfig,
-    svm_epochs: int = 50,
-    gmm_components: int = 8,
+    svm_epochs: int = SVM_DEFAULT_EPOCHS,
+    gmm_components: int = GMM_DEFAULT_COMPONENTS,
 ) -> tuple[Model, list[dict]]:
     """Assemble a task dataset from feature records and train one model.
 
     All methods share the same seeded stratified 80/20 split so their
     held-out metrics are comparable.
     """
-    if method not in METHODS:
+    if method not in FAMILIES:
         raise ParameterError(f"method must be one of {METHODS}, got {method!r}")
     config.validate()
     ds = assemble_task(records, config.task)
-    if method == "cnn":
-        model, log = cnn_train(mel_inputs(ds.cells), ds.labels, ds.strata, ds.classes, config)
-        return model, log
-    train_idx, val_idx = stratified_split(ds.strata, ds.labels, len(ds.classes), config.seed)
-    if method == "svm":
-        x = flat_inputs(ds.cells)
-        model, log = svm_train(
-            x[train_idx],
-            ds.labels[train_idx],
-            ds.classes,
-            config=config,
-            epochs=svm_epochs,
-            val=(x[val_idx], ds.labels[val_idx]),
-        )
-        return model, log
-    x = mfcc_inputs(ds.cells)
-    model, info = gmm_train(
-        x[train_idx],
-        ds.labels[train_idx],
-        ds.classes,
-        n_components=gmm_components,
-        seed=config.seed,
-        task=config.task,
-    )
-    _, val_scores = predict(model, x[val_idx])
-    val_acc = float(np.mean(val_scores.argmax(axis=1) == ds.labels[val_idx]))
-    total_iters = max(len(t) for t in info["log_likelihood"].values())
-    final_ll = sum(t[-1] for t in info["log_likelihood"].values())
-    log = [
-        {
-            "epoch": total_iters,
-            "train_loss": -final_ll / max(1, len(train_idx)),
-            "val_loss": float("nan"),
-            "val_acc": val_acc,
-        }
-    ]
-    return model, log
+    return FAMILIES[method].train(ds, config, svm_epochs=svm_epochs, gmm_components=gmm_components)

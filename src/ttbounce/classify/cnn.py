@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import DataError, NumericError, ParameterError
-from .data import TrainConfig, stratified_split
+from .data import TaskDataset, TrainConfig, mel_inputs, stratified_split
+from .family import Layout, ModelFamily, tensor_slot
 
 BN_EPS = 1e-5
 RUNNING_MOMENTUM = 0.9  # running = m*running + (1-m)*batch
@@ -337,24 +338,15 @@ def cnn_loss_and_grad(
 
 
 def _param_refs(model: CnnModel) -> list[tuple[str, np.ndarray]]:
-    refs = []
-    for i, blk in enumerate(model.blocks, start=1):
-        refs += [
-            (f"block{i}.conv_w", blk.w),
-            (f"block{i}.conv_b", blk.b),
-            (f"block{i}.bn_gamma", blk.gamma),
-            (f"block{i}.bn_beta", blk.beta),
-        ]
-    refs += [("dense_w", model.dense_w), ("dense_b", model.dense_b)]
-    return refs
+    """Trainable tensors by TTSB1 name; batchnorm running statistics are not trained."""
+    layout = _layout(_arch(model), model.n_classes).items()
+    return [(n, getattr(*tensor_slot(model, p))) for n, (p, _) in layout if ".running_" not in p]
 
 
 def _grad_refs(grads: dict) -> list[np.ndarray]:
-    out = []
-    for g in grads["blocks"]:
-        out += [g["w"], g["b"], g["gamma"], g["beta"]]
-    out += [grads["dense_w"], grads["dense_b"]]
-    return out
+    """Gradients in ``_param_refs`` order."""
+    blocks = [g[k] for g in grads["blocks"] for k in ("w", "b", "gamma", "beta")]
+    return blocks + [grads["dense_w"], grads["dense_b"]]
 
 
 class AdamState:
@@ -380,15 +372,9 @@ class AdamState:
 
 def finalize_float32(model: CnnModel) -> CnnModel:
     """Quantize all tensors to float32 so saved and live predictions agree bit-for-bit."""
-    for blk in model.blocks:
-        blk.w = blk.w.astype(np.float32)
-        blk.b = blk.b.astype(np.float32)
-        blk.gamma = blk.gamma.astype(np.float32)
-        blk.beta = blk.beta.astype(np.float32)
-        blk.running_mean = blk.running_mean.astype(np.float32)
-        blk.running_var = blk.running_var.astype(np.float32)
-    model.dense_w = model.dense_w.astype(np.float32)
-    model.dense_b = model.dense_b.astype(np.float32)
+    for path, _ in _layout(_arch(model), model.n_classes).values():
+        owner, attr = tensor_slot(model, path)
+        setattr(owner, attr, getattr(owner, attr).astype(np.float32))
     return model
 
 
@@ -468,3 +454,64 @@ def cnn_train(
 def predict_cnn(model: CnnModel, mels: np.ndarray) -> np.ndarray:
     """Probability vectors (N, n_classes) in inference mode."""
     return np.atleast_2d(cnn_forward(model, mels, mode="infer"))
+
+
+# --- Family record ------------------------------------------------------------
+
+_BLOCK_TENSORS = {
+    "conv_w": "w",
+    "conv_b": "b",
+    "bn_gamma": "gamma",
+    "bn_beta": "beta",
+    "bn_mean": "running_mean",
+    "bn_var": "running_var",
+}
+
+
+_ARCH_SCHEMA = {"channels": [int], "pools": [int], "input_shape": (int, int)}
+
+
+def _arch(model: CnnModel) -> dict:
+    return {key: list(getattr(model, key)) for key in _ARCH_SCHEMA}
+
+
+def _layout(arch: dict, n_classes: int) -> Layout:
+    out: Layout = {}
+    in_ch = 1
+    for i, out_ch in enumerate(arch["channels"]):
+        for name, attr in _BLOCK_TENSORS.items():
+            shape = (out_ch, in_ch, 3, 3) if attr == "w" else (out_ch,)
+            out[f"block{i + 1}.{name}"] = (f"blocks.{i}.{attr}", shape)
+        in_ch = out_ch
+    out["dense_w"] = ("dense_w", (n_classes, in_ch))
+    out["dense_b"] = ("dense_b", (n_classes,))
+    return out
+
+
+def _empty(arch: dict, **header) -> CnnModel:
+    return CnnModel(
+        blocks=[ConvBlock(*[None] * 6) for _ in arch["channels"]],
+        dense_w=None,
+        dense_b=None,
+        **{key: tuple(arch[key]) for key in _ARCH_SCHEMA},
+        **header,
+    )
+
+
+def _train(ds: TaskDataset, config: TrainConfig, **_) -> tuple[CnnModel, list[dict]]:
+    return cnn_train(mel_inputs(ds.cells), ds.labels, ds.strata, ds.classes, config)
+
+
+CNN_FAMILY = ModelFamily(
+    kind="cnn",
+    model_type=CnnModel,
+    inputs=mel_inputs,
+    input_shape=lambda model: tuple(model.input_shape),
+    score=predict_cnn,
+    arch=_arch,
+    arch_schema=_ARCH_SCHEMA,
+    layout=_layout,
+    empty=_empty,
+    train=_train,
+    nonnegative=("running_var",),
+)

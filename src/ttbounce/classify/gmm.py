@@ -12,8 +12,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import DataError
+from .data import TaskDataset, TrainConfig, mfcc_inputs, stratified_split
+from .family import ModelFamily
 
 VAR_FLOOR = 1e-6
+DEFAULT_COMPONENTS = 8
 
 
 @dataclass
@@ -94,7 +97,7 @@ def gmm_train(
     features: np.ndarray,
     labels: np.ndarray,
     classes: tuple[str, ...],
-    n_components: int = 8,
+    n_components: int = DEFAULT_COMPONENTS,
     seed: int = 0,
     max_iter: int = 200,
     tol: float = 1e-6,
@@ -149,3 +152,47 @@ def predict_gmm(model: GmmModel, features: np.ndarray) -> np.ndarray:
         joint = logpdf + np.log(np.maximum(model.weights[c].astype(np.float64), 1e-300))[None]
         scores[:, c] = _logsumexp(joint, axis=1) + log_priors[c]
     return scores
+
+
+def _train(ds: TaskDataset, config: TrainConfig, gmm_components: int, **_):
+    train_idx, val_idx = stratified_split(ds.strata, ds.labels, len(ds.classes), config.seed)
+    x = mfcc_inputs(ds.cells)
+    model, info = gmm_train(
+        x[train_idx],
+        ds.labels[train_idx],
+        ds.classes,
+        n_components=gmm_components,
+        seed=config.seed,
+        task=config.task,
+    )
+    val_pred = predict_gmm(model, x[val_idx]).argmax(axis=1)
+    traces = info["log_likelihood"].values()
+    row = {
+        "epoch": max(len(t) for t in traces),
+        "train_loss": -sum(t[-1] for t in traces) / max(1, len(train_idx)),
+        "val_loss": float("nan"),
+        "val_acc": float(np.mean(val_pred == ds.labels[val_idx])),
+    }
+    return model, [row]
+
+
+GMM_FAMILY = ModelFamily(
+    kind="gmm",
+    model_type=GmmModel,
+    inputs=mfcc_inputs,
+    input_shape=lambda model: (model.means.shape[2],),
+    score=predict_gmm,
+    arch=lambda model: {
+        "n_components": int(model.weights.shape[1]),
+        "n_features": int(model.means.shape[2]),
+    },
+    arch_schema={"n_components": int, "n_features": int},
+    layout=lambda arch, n_classes: {
+        "class_priors": ("priors", (n_classes,)),
+        "mixture_weights": ("weights", (n_classes, arch["n_components"])),
+        "means": ("means", (n_classes, arch["n_components"], arch["n_features"])),
+        "variances": ("variances", (n_classes, arch["n_components"], arch["n_features"])),
+    },
+    empty=lambda arch, **header: GmmModel(None, None, None, None, **header),
+    train=_train,
+)

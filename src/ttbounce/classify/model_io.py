@@ -13,73 +13,48 @@ from __future__ import annotations
 import json
 import struct
 from pathlib import Path
+from typing import Union
 
 import numpy as np
 
-from ..errors import FormatError
-from .cnn import CnnModel, ConvBlock
-from .gmm import GmmModel
-from .svm import SvmModel
+from ..errors import FormatError, ParameterError
+from .cnn import CNN_FAMILY
+from .data import TASKS
+from .family import ModelFamily, check_arch, tensor_slot
+from .gmm import GMM_FAMILY
+from .svm import SVM_FAMILY
 
 MODEL_MAGIC = b"TTSB1"
 
-Model = CnnModel | SvmModel | GmmModel
+FAMILIES: dict[str, ModelFamily] = {f.kind: f for f in (CNN_FAMILY, SVM_FAMILY, GMM_FAMILY)}
+_BY_TYPE = {f.model_type: f for f in FAMILIES.values()}
+
+Model = Union[tuple(f.model_type for f in FAMILIES.values())]
 
 
-def _tensors_for(model: Model) -> dict[str, np.ndarray]:
-    if isinstance(model, CnnModel):
-        out: dict[str, np.ndarray] = {}
-        for i, blk in enumerate(model.blocks, start=1):
-            out[f"block{i}.conv_w"] = blk.w
-            out[f"block{i}.conv_b"] = blk.b
-            out[f"block{i}.bn_gamma"] = blk.gamma
-            out[f"block{i}.bn_beta"] = blk.beta
-            out[f"block{i}.bn_mean"] = blk.running_mean
-            out[f"block{i}.bn_var"] = blk.running_var
-        out["dense_w"] = model.dense_w
-        out["dense_b"] = model.dense_b
-        return out
-    if isinstance(model, SvmModel):
-        return {"weights": model.weights, "bias": model.bias}
-    if isinstance(model, GmmModel):
-        return {
-            "class_priors": model.priors,
-            "mixture_weights": model.weights,
-            "means": model.means,
-            "variances": model.variances,
-        }
-    raise FormatError(f"unknown model type {type(model).__name__}")
-
-
-def _arch_for(model: Model) -> dict:
-    if isinstance(model, CnnModel):
-        return {
-            "channels": list(model.channels),
-            "pools": list(model.pools),
-            "input_shape": list(model.input_shape),
-        }
-    if isinstance(model, SvmModel):
-        return {"n_features": int(model.weights.shape[1])}
-    return {"n_components": int(model.weights.shape[1]), "n_features": int(model.means.shape[2])}
-
-
-_KINDS = {CnnModel: "cnn", SvmModel: "svm", GmmModel: "gmm"}
+def family_of(model: Model) -> ModelFamily:
+    family = _BY_TYPE.get(type(model))
+    if family is None:
+        raise ParameterError(f"unknown model type {type(model).__name__}")
+    return family
 
 
 def save_model(model: Model, path: str | Path) -> None:
+    family = family_of(model)
+    arch = family.arch(model)
     header = {
-        "kind": _KINDS[type(model)],
+        "kind": family.kind,
         "task": model.task,
         "classes": list(model.classes),
-        "arch": _arch_for(model),
+        "arch": arch,
         "meta": model.meta,
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    tensors = _tensors_for(model)
+    layout = family.layout(arch, len(model.classes))
     parts = [MODEL_MAGIC, struct.pack("<I", len(header_bytes)), header_bytes]
-    parts.append(struct.pack("<I", len(tensors)))
-    for name, arr in tensors.items():
-        arr = np.asarray(arr, dtype="<f4")
+    parts.append(struct.pack("<I", len(layout)))
+    for name, (attr, _) in layout.items():
+        arr = np.asarray(getattr(*tensor_slot(model, attr)), dtype="<f4")
         name_b = name.encode("utf-8")
         parts.append(struct.pack("<H", len(name_b)) + name_b)
         parts.append(struct.pack("<B", arr.ndim))
@@ -107,9 +82,7 @@ def load_model(path: str | Path) -> Model:
         header = json.loads(chunk.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"{path}: unreadable header: {exc}") from None
-    for key in ("kind", "task", "classes", "arch"):
-        if key not in header:
-            raise FormatError(f"{path}: header missing field {key!r}")
+    family = _check_header(header, path)
     chunk, pos = _read_exact(raw, pos, 4, path)
     (n_tensors,) = struct.unpack("<I", chunk)
     tensors: dict[str, np.ndarray] = {}
@@ -117,7 +90,7 @@ def load_model(path: str | Path) -> Model:
         chunk, pos = _read_exact(raw, pos, 2, path)
         (name_len,) = struct.unpack("<H", chunk)
         chunk, pos = _read_exact(raw, pos, name_len, path)
-        name = chunk.decode("utf-8")
+        name = chunk.decode("utf-8", errors="replace")  # a garbled name reads as missing
         chunk, pos = _read_exact(raw, pos, 1, path)
         ndim = chunk[0]
         chunk, pos = _read_exact(raw, pos, 4 * ndim, path)
@@ -125,78 +98,42 @@ def load_model(path: str | Path) -> Model:
         count = int(np.prod(shape)) if ndim else 1
         chunk, pos = _read_exact(raw, pos, 4 * count, path)
         tensors[name] = np.frombuffer(chunk, dtype="<f4").reshape(shape)
-    return _build_model(header, tensors, path)
+    return _build_model(family, header, tensors, path)
 
 
-def _require(tensors: dict, name: str, shape: tuple, path: Path) -> np.ndarray:
-    if name not in tensors:
-        raise FormatError(f"{path}: missing tensor {name!r}")
-    arr = tensors[name]
-    if arr.shape != shape:
-        raise FormatError(
-            f"{path}: tensor {name!r} has shape {arr.shape}, descriptor implies {shape}"
-        )
-    return arr
+def _check_header(header: object, path: Path) -> ModelFamily:
+    if not isinstance(header, dict):
+        raise FormatError(f"{path}: header must be a JSON object")
+    for key in ("kind", "task", "classes", "arch"):
+        if key not in header:
+            raise FormatError(f"{path}: header missing field {key!r}")
+    family = FAMILIES.get(header["kind"]) if isinstance(header["kind"], str) else None
+    if family is None:
+        raise FormatError(f"{path}: unknown model kind {header['kind']!r}")
+    if header["task"] not in TASKS:
+        raise FormatError(f"{path}: unknown task {header['task']!r}")
+    classes = header["classes"]
+    if not (isinstance(classes, list) and classes and all(isinstance(c, str) for c in classes)):
+        raise FormatError(f"{path}: classes must be a nonempty list of names, got {classes!r}")
+    if not isinstance(header.get("meta", {}), dict):
+        raise FormatError(f"{path}: meta must be an object")
+    check_arch(header["arch"], family.arch_schema, str(path))
+    return family
 
 
-def _build_model(header: dict, tensors: dict, path: Path) -> Model:
-    kind = header["kind"]
-    classes = tuple(header["classes"])
-    task = header["task"]
+def _build_model(family: ModelFamily, header: dict, tensors: dict, path: Path) -> Model:
     arch = header["arch"]
-    meta = header.get("meta", {})
-    n_classes = len(classes)
-    if kind == "cnn":
-        channels = tuple(arch["channels"])
-        blocks = []
-        in_ch = 1
-        for i, out_ch in enumerate(channels, start=1):
-            blocks.append(
-                ConvBlock(
-                    w=_require(tensors, f"block{i}.conv_w", (out_ch, in_ch, 3, 3), path),
-                    b=_require(tensors, f"block{i}.conv_b", (out_ch,), path),
-                    gamma=_require(tensors, f"block{i}.bn_gamma", (out_ch,), path),
-                    beta=_require(tensors, f"block{i}.bn_beta", (out_ch,), path),
-                    running_mean=_require(tensors, f"block{i}.bn_mean", (out_ch,), path),
-                    running_var=_require(tensors, f"block{i}.bn_var", (out_ch,), path),
-                )
+    classes = tuple(header["classes"])
+    model = family.empty(arch, classes=classes, task=header["task"], meta=header.get("meta", {}))
+    for name, (attr, shape) in family.layout(arch, len(classes)).items():
+        if name not in tensors:
+            raise FormatError(f"{path}: missing tensor {name!r}")
+        arr = tensors[name]
+        if arr.shape != shape:
+            raise FormatError(
+                f"{path}: tensor {name!r} has shape {arr.shape}, descriptor implies {shape}"
             )
-            in_ch = out_ch
-        model = CnnModel(
-            blocks=blocks,
-            dense_w=_require(tensors, "dense_w", (n_classes, channels[-1]), path),
-            dense_b=_require(tensors, "dense_b", (n_classes,), path),
-            classes=classes,
-            task=task,
-            channels=channels,
-            pools=tuple(arch["pools"]),
-            input_shape=tuple(arch["input_shape"]),
-            meta=meta,
-        )
-        if np.any(model.blocks[0].running_var < 0) or any(
-            np.any(b.running_var < 0) for b in model.blocks
-        ):
-            raise FormatError(f"{path}: negative batchnorm running variance")
-        return model
-    if kind == "svm":
-        d = int(arch["n_features"])
-        return SvmModel(
-            weights=_require(tensors, "weights", (n_classes, d), path),
-            bias=_require(tensors, "bias", (n_classes,), path),
-            classes=classes,
-            task=task,
-            meta=meta,
-        )
-    if kind == "gmm":
-        k = int(arch["n_components"])
-        d = int(arch["n_features"])
-        return GmmModel(
-            priors=_require(tensors, "class_priors", (n_classes,), path),
-            weights=_require(tensors, "mixture_weights", (n_classes, k), path),
-            means=_require(tensors, "means", (n_classes, k, d), path),
-            variances=_require(tensors, "variances", (n_classes, k, d), path),
-            classes=classes,
-            task=task,
-            meta=meta,
-        )
-    raise FormatError(f"{path}: unknown model kind {kind!r}")
+        if attr.rpartition(".")[2] in family.nonnegative and np.any(arr < 0):
+            raise FormatError(f"{path}: tensor {name!r} has negative entries")
+        setattr(*tensor_slot(model, attr), arr)
+    return model

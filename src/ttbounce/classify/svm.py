@@ -11,7 +11,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import DataError
-from .data import TrainConfig
+from .data import TaskDataset, TrainConfig, flat_inputs, stratified_split
+from .family import ModelFamily
+
+DEFAULT_EPOCHS = 50
 
 
 @dataclass
@@ -47,11 +50,11 @@ def svm_train(
     features: np.ndarray,
     labels: np.ndarray,
     classes: tuple[str, ...],
-    config: TrainConfig | None = None,
     lam: float = 1e-4,
-    epochs: int = 50,
+    epochs: int = DEFAULT_EPOCHS,
     seed: int = 0,
     val: tuple[np.ndarray, np.ndarray] | None = None,
+    task: str = "surface",
 ) -> tuple[SvmModel, list[dict]]:
     """One-vs-rest training with seeded shuffling.
 
@@ -62,8 +65,6 @@ def svm_train(
     labels = np.asarray(labels)
     if np.unique(labels).size < 2:
         raise DataError("SVM training needs at least 2 classes present")
-    if config is not None:
-        seed = config.seed
     n, d = x.shape
     k_classes = len(classes)
     rng = np.random.default_rng(seed)
@@ -96,7 +97,7 @@ def svm_train(
         weights=w.astype(np.float32),
         bias=b.astype(np.float32),
         classes=tuple(classes),
-        task=config.task if config is not None else "surface",
+        task=task,
     )
     return model, log
 
@@ -105,3 +106,35 @@ def predict_svm(model: SvmModel, features: np.ndarray) -> np.ndarray:
     """One-vs-rest decision scores (N, n_classes)."""
     x = np.atleast_2d(np.asarray(features, dtype=np.float64))
     return x @ model.weights.astype(np.float64).T + model.bias.astype(np.float64)
+
+
+def _train(ds: TaskDataset, config: TrainConfig, svm_epochs: int, **_):
+    train_idx, val_idx = stratified_split(ds.strata, ds.labels, len(ds.classes), config.seed)
+    x = flat_inputs(ds.cells)
+    return svm_train(
+        x[train_idx],
+        ds.labels[train_idx],
+        ds.classes,
+        epochs=svm_epochs,
+        seed=config.seed,
+        val=(x[val_idx], ds.labels[val_idx]),
+        task=config.task,
+    )
+
+
+SVM_FAMILY = ModelFamily(
+    kind="svm",
+    model_type=SvmModel,
+    inputs=flat_inputs,
+    input_shape=lambda model: (model.weights.shape[1],),
+    score=predict_svm,
+    arch=lambda model: {"n_features": int(model.weights.shape[1])},
+    arch_schema={"n_features": int},
+    layout=lambda arch, n_classes: {
+        "weights": ("weights", (n_classes, arch["n_features"])),
+        "bias": ("bias", (n_classes,)),
+    },
+    empty=lambda arch, **header: SvmModel(weights=None, bias=None, **header),
+    train=_train,
+    default_epochs=DEFAULT_EPOCHS,
+)

@@ -26,6 +26,7 @@ from .audio_io import (
     write_wav,
 )
 from .classify import (
+    FAMILIES,
     METHODS,
     TrainConfig,
     assemble_task,
@@ -35,14 +36,8 @@ from .classify import (
     stratified_split,
     train_task_model,
 )
-from .errors import (
-    DataError,
-    FormatError,
-    NumericError,
-    ParameterError,
-    ProtocolError,
-    ValidationError,
-)
+from .classify.data import TASKS
+from .errors import BounceError, DataError, FormatError, NumericError, ParameterError
 from .evaluate import (
     confusion_csv,
     end_to_end,
@@ -54,43 +49,11 @@ from .evaluate import (
 from .features import FeatureRecord, log_mel, read_feature_file, write_feature_file
 from .synth import DetectionFixture
 
-TRAIN_KEYS = ("train.epochs", "train.batch_size", "train.learning_rate", "train.patience")
-FILE_KEYS = det.CONFIG_KEYS + TRAIN_KEYS
-
-
-def _merged_config(args: argparse.Namespace) -> dict[str, float]:
-    values: dict[str, float] = {}
-    if getattr(args, "config", None):
-        values.update(det.parse_config_file(args.config, allowed=FILE_KEYS))
-    overrides = {
-        "gamma": getattr(args, "gamma", None),
-        "threshold_multiplier": getattr(args, "threshold_multiplier", None),
-        "refractory_ms": getattr(args, "refractory_ms", None),
-        "filter.cutoff_hz": getattr(args, "cutoff_hz", None),
-    }
-    values.update({k: v for k, v in overrides.items() if v is not None})
-    return values
-
 
 def _effective_config(args: argparse.Namespace, extra: dict | None = None) -> dict:
-    cfg_values = _merged_config(args)
-    config, spec = det.build_configs(cfg_values, DATASET_SAMPLE_RATE)
-    eff = {
-        "frame_ms": config.frame_ms,
-        "gamma": config.gamma,
-        "threshold_multiplier": config.threshold_multiplier,
-        "refractory_ms": config.refractory_ms,
-        "ema_floor": config.ema_floor,
-        "filter.order": spec.order,
-        "filter.cutoff_hz": spec.cutoff_hz,
-        "seed": getattr(args, "seed", 0),
-    }
-    for key in TRAIN_KEYS:
-        if key in cfg_values:
-            eff[key] = cfg_values[key]
-    if extra:
-        eff.update(extra)
-    return eff
+    det.build_configs(args.values, DATASET_SAMPLE_RATE)  # validates detector keys everywhere
+    defaults = {name: det.CONFIG_TABLE[name].default for name in det.CONFIG_KEYS}
+    return {**defaults, **args.values, "seed": args.seed, **(extra or {})}
 
 
 def _emit_config(eff: dict, out: str | None) -> None:
@@ -107,36 +70,12 @@ def _write_or_print(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _detector_for(args: argparse.Namespace, sample_rate: int):
-    return det.build_configs(_merged_config(args), sample_rate)
-
-
-def _train_config(args: argparse.Namespace) -> TrainConfig:
-    values = _merged_config(args)
-    cfg = TrainConfig(
-        epochs=int(args.epochs if args.epochs is not None else values.get("train.epochs", 100)),
-        batch_size=int(
-            args.batch_size if args.batch_size is not None else values.get("train.batch_size", 32)
-        ),
-        learning_rate=float(
-            args.learning_rate
-            if args.learning_rate is not None
-            else values.get("train.learning_rate", 1e-3)
-        ),
-        seed=args.seed,
-        patience=int(values.get("train.patience", 10)),
-        task=args.task,
-    )
-    cfg.validate()
-    return cfg
-
-
 # --- Subcommands ----------------------------------------------------------------
 
 
 def cmd_detect(args: argparse.Namespace) -> int:
     clip = load_wav(args.audio)
-    config, spec = _detector_for(args, clip.sample_rate)
+    config, spec = det.build_configs(args.values, clip.sample_rate)
     _emit_config(_effective_config(args), args.out)
     events = det.detect_bounces(clip, config, spec)
     import io
@@ -176,23 +115,18 @@ def _fingerprint(path: str | Path) -> str:
 
 def cmd_train(args: argparse.Namespace) -> int:
     records = read_feature_file(args.features)
-    config = _train_config(args)
-    _emit_config(
-        _effective_config(
-            args,
-            {
-                "task": args.task,
-                "method": args.method,
-                "train.epochs": config.epochs,
-                "train.batch_size": config.batch_size,
-                "train.learning_rate": config.learning_rate,
-                "train.patience": config.patience,
-            },
-        ),
-        args.out,
-    )
-    svm_epochs = int(args.epochs) if args.epochs is not None else 50
-    model, log = train_task_model(records, args.method, config, svm_epochs=svm_epochs)
+    # Epochs default per method; every other setting is flag, then file, then default.
+    values = {"train.epochs": FAMILIES[args.method].default_epochs, **args.values}
+    config = det.config_from(TrainConfig, values, seed=args.seed, task=args.task)
+    config.validate()
+    resolved = {
+        name: getattr(config, key.field)
+        for name, key in det.CONFIG_TABLE.items()
+        if key.owner is TrainConfig
+    }
+    extra = {"task": args.task, "method": args.method, **resolved}
+    _emit_config(_effective_config(args, extra), args.out)
+    model, log = train_task_model(records, args.method, config, svm_epochs=config.epochs)
     model.meta = {
         "seed": args.seed,
         "task": args.task,
@@ -241,7 +175,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     clip = load_wav(args.audio)
     surface_model = load_model(args.surface_model)
     spin_model = load_model(args.spin_model) if args.spin_model else None
-    config, spec = _detector_for(args, clip.sample_rate)
+    config, spec = det.build_configs(args.values, clip.sample_rate)
     _emit_config(_effective_config(args), args.out)
     events = end_to_end(clip, config, spec, surface_model, spin_model)
     lines = ["onset_sample,onset_s,surface,spin,surface_score,spin_score"]
@@ -285,7 +219,8 @@ def cmd_grid_search(args: argparse.Namespace) -> int:
     fixtures = _manifest_fixtures(args.manifest)
     gammas = [float(v) for v in args.gammas.split(",") if v]
     multipliers = [float(v) for v in args.multipliers.split(",") if v]
-    base_config, spec = _detector_for(args, fixtures[0].clip.sample_rate if fixtures else 44100)
+    rate = fixtures[0].clip.sample_rate if fixtures else DATASET_SAMPLE_RATE
+    base_config, spec = det.build_configs(args.values, rate)
     _emit_config(_effective_config(args), args.out)
     noise = None
     if args.noise:
@@ -315,11 +250,11 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="output path (default: stdout where applicable)")
 
 
-def _add_detector_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--gamma", type=float, help="energy-average decay factor")
-    p.add_argument("--threshold-multiplier", type=float, dest="threshold_multiplier")
-    p.add_argument("--refractory-ms", type=float, dest="refractory_ms")
-    p.add_argument("--cutoff-hz", type=float, dest="cutoff_hz")
+def _add_key_flags(p: argparse.ArgumentParser, *owners: type) -> None:
+    for name, key in det.CONFIG_TABLE.items():
+        if key.flag and key.owner in owners:
+            help_text = f"config key {name} (default {key.default})"
+            p.add_argument(key.flag, type=key.number, dest=name, help=help_text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -332,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("detect", help="detect bounce onsets, emit events CSV")
     p.add_argument("audio")
     _add_common(p)
-    _add_detector_flags(p)
+    _add_key_flags(p, det.DetectorConfig, det.FilterSpec)
     p.set_defaults(func=cmd_detect)
 
     p = sub.add_parser("featurize", help="extract feature records from a manifest")
@@ -343,11 +278,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a classifier on a feature file")
     p.add_argument("features")
     _add_common(p)
-    p.add_argument("--task", choices=("surface", "spin"), required=True)
+    p.add_argument("--task", choices=TASKS, required=True)
     p.add_argument("--method", choices=METHODS, required=True)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", type=int, dest="batch_size")
-    p.add_argument("--learning-rate", type=float, dest="learning_rate")
+    _add_key_flags(p, TrainConfig)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="score a model against a feature file")
@@ -359,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="full pipeline: detect then classify")
     p.add_argument("audio")
     _add_common(p)
-    _add_detector_flags(p)
+    _add_key_flags(p, det.DetectorConfig, det.FilterSpec)
     p.add_argument("--surface-model", required=True, dest="surface_model")
     p.add_argument("--spin-model", dest="spin_model")
     p.set_defaults(func=cmd_run)
@@ -374,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("grid-search", help="sweep detector settings over labeled fixtures")
     p.add_argument("manifest")
     _add_common(p)
-    _add_detector_flags(p)
+    _add_key_flags(p, det.DetectorConfig, det.FilterSpec)
     p.add_argument("--gammas", required=True, help="comma-separated decay factors")
     p.add_argument("--multipliers", required=True, help="comma-separated threshold multipliers")
     p.add_argument("--noise", help="optional noise WAV for a noisy sweep")
@@ -393,20 +326,16 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command in _OUT_REQUIRED and not args.out:
             raise ParameterError(f"{args.command} requires --out")
+        args.values = det.parse_config_file(args.config) if args.config else {}
+        for name in det.CONFIG_TABLE:  # flags override the file
+            if getattr(args, name, None) is not None:
+                args.values[name] = getattr(args, name)
         return args.func(args)
-    except (ParameterError, ValidationError, ProtocolError) as exc:
+    except (BounceError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except (FormatError, DataError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 3
-    except NumericError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 4
-    except OSError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-
+        if isinstance(exc, NumericError):
+            return 4
+        return 3 if isinstance(exc, (FormatError, DataError)) else 2
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -18,6 +18,7 @@ import numpy as np
 from scipy.signal import sosfilt, sosfilt_zi
 
 from .audio_io import AudioClip
+from .classify.data import TrainConfig
 from .errors import ParameterError, ProtocolError
 
 
@@ -27,12 +28,9 @@ class FilterSpec:
 
     order: int = 5
     cutoff_hz: float = 10000.0
-    kind: str = "highpass"
     sample_rate: int = 44100
 
     def validate(self) -> None:
-        if self.kind != "highpass":
-            raise ParameterError(f"unsupported filter kind {self.kind!r}")
         if self.order < 1:
             raise ParameterError(f"filter order must be >= 1, got {self.order}")
         if not 0.0 < self.cutoff_hz < self.sample_rate / 2:
@@ -200,7 +198,6 @@ class DetectorConfig:
     threshold_multiplier: float = 8.0
     refractory_ms: float = 30.0
     ema_floor: float = 1e-8
-    refine_factor: float = 1.0  # frame-mean to per-sample threshold calibration
 
     def validate(self, sample_rate: int) -> None:
         if not 0.0 < self.gamma < 1.0:
@@ -262,9 +259,9 @@ class _EnergyScanner:
         return None
 
     def _refine(self, frame: np.ndarray, floor_avg: float) -> int:
-        # First sample whose squared amplitude clears the scaled threshold;
-        # one must exist when refine_factor <= 1 because max >= mean.
-        thr = self.config.threshold_multiplier * floor_avg * self.config.refine_factor
+        # First sample whose squared amplitude clears the threshold; one
+        # exists because the frame's mean cleared it and max >= mean.
+        thr = self.config.threshold_multiplier * floor_avg
         hits = np.flatnonzero(np.square(frame) > thr)
         return int(hits[0]) if hits.size else 0
 
@@ -374,25 +371,65 @@ def extract_window(
 
 # --- External interfaces ------------------------------------------------------
 
-CONFIG_KEYS = (
-    "frame_ms",
-    "gamma",
-    "threshold_multiplier",
-    "refractory_ms",
-    "ema_floor",
-    "filter.order",
-    "filter.cutoff_hz",
-)
+@dataclass(frozen=True)
+class ConfigKey:
+    """A --config key, the dataclass field it sets (giving its type and default), its flag."""
+
+    name: str
+    owner: type
+    flag: str | None = None
+
+    @property
+    def field(self) -> str:
+        return self.name.rpartition(".")[2]
+
+    @property
+    def default(self) -> int | float:
+        return getattr(self.owner, self.field)
+
+    @property
+    def type(self) -> type:
+        return type(self.default)
+
+    def number(self, raw: str) -> int | float:
+        """Parse a file or flag value; ValueError unless finite, and integral for an int key."""
+        try:
+            value = float(raw)
+        except ValueError:
+            value = math.nan  # reported below like any other non-finite value
+        if not math.isfinite(value) or (self.type is int and not value.is_integer()):
+            raise ValueError(f"{self.name} takes a finite {self.type.__name__}, got {raw!r}")
+        return self.type(value)
 
 
-def parse_config_file(
-    path: str | Path, allowed: tuple[str, ...] = CONFIG_KEYS
-) -> dict[str, float]:
-    """Read a flat key=value detector config file.
+# Every key a --config file may set. The train.* keys configure the
+# classifier trainer; they share the file so one config drives a whole run.
+CONFIG_TABLE = {
+    k.name: k
+    for k in (
+        ConfigKey("frame_ms", DetectorConfig),
+        ConfigKey("gamma", DetectorConfig, "--gamma"),
+        ConfigKey("threshold_multiplier", DetectorConfig, "--threshold-multiplier"),
+        ConfigKey("refractory_ms", DetectorConfig, "--refractory-ms"),
+        ConfigKey("ema_floor", DetectorConfig),
+        ConfigKey("filter.order", FilterSpec),
+        ConfigKey("filter.cutoff_hz", FilterSpec, "--cutoff-hz"),
+        ConfigKey("train.epochs", TrainConfig, "--epochs"),
+        ConfigKey("train.batch_size", TrainConfig, "--batch-size"),
+        ConfigKey("train.learning_rate", TrainConfig, "--learning-rate"),
+        ConfigKey("train.patience", TrainConfig),
+    )
+}
+CONFIG_KEYS = tuple(n for n, k in CONFIG_TABLE.items() if k.owner is not TrainConfig)
 
-    Only the documented keys are accepted; '#' starts a comment.
+
+def parse_config_file(path: str | Path) -> dict[str, int | float]:
+    """Read a flat key=value config file.
+
+    Only the keys of ``CONFIG_TABLE`` are accepted; '#' starts a comment.
+    Values must be finite numbers, and integral for integer keys.
     """
-    values: dict[str, float] = {}
+    values: dict[str, int | float] = {}
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -400,34 +437,32 @@ def parse_config_file(
         if "=" not in line:
             raise ParameterError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, _, raw = line.partition("=")
-        key = key.strip()
-        if key not in allowed:
+        key, raw = key.strip(), raw.strip()
+        if key not in CONFIG_TABLE:
             raise ParameterError(f"{path}:{lineno}: unknown config key {key!r}")
         try:
-            values[key] = float(raw.strip())
-        except ValueError:
-            raise ParameterError(f"{path}:{lineno}: bad value for {key}: {raw.strip()!r}") from None
+            values[key] = CONFIG_TABLE[key].number(raw)
+        except ValueError as exc:
+            raise ParameterError(f"{path}:{lineno}: {exc}") from None
     return values
 
 
+def config_from(owner: type, values: dict[str, int | float], **fixed):
+    """Build ``owner`` from the table keys it owns; absent keys keep their default."""
+    own = {
+        k.field: k.type(values[name])
+        for name, k in CONFIG_TABLE.items()
+        if k.owner is owner and name in values
+    }
+    return owner(**own, **fixed)
+
+
 def build_configs(
-    values: dict[str, float], sample_rate: int
+    values: dict[str, int | float], sample_rate: int
 ) -> tuple[DetectorConfig, FilterSpec]:
     """Construct validated configs from parsed key=value pairs."""
-    config = DetectorConfig(
-        frame_ms=values.get("frame_ms", DetectorConfig.frame_ms),
-        gamma=values.get("gamma", DetectorConfig.gamma),
-        threshold_multiplier=values.get(
-            "threshold_multiplier", DetectorConfig.threshold_multiplier
-        ),
-        refractory_ms=values.get("refractory_ms", DetectorConfig.refractory_ms),
-        ema_floor=values.get("ema_floor", DetectorConfig.ema_floor),
-    )
-    spec = FilterSpec(
-        order=int(values.get("filter.order", FilterSpec.order)),
-        cutoff_hz=values.get("filter.cutoff_hz", FilterSpec.cutoff_hz),
-        sample_rate=sample_rate,
-    )
+    config = config_from(DetectorConfig, values)
+    spec = config_from(FilterSpec, values, sample_rate=sample_rate)
     config.validate(sample_rate)
     spec.validate()
     return config, spec

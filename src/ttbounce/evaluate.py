@@ -8,7 +8,7 @@ micro aggregates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -287,14 +287,7 @@ def grid_search_detector(
     best: tuple[float, float, DetectorConfig] | None = None
     for gamma in gamma_grid:
         for mult in multiplier_grid:
-            cfg = DetectorConfig(
-                frame_ms=base_config.frame_ms,
-                gamma=gamma,
-                threshold_multiplier=mult,
-                refractory_ms=base_config.refractory_ms,
-                ema_floor=base_config.ema_floor,
-                refine_factor=base_config.refine_factor,
-            )
+            cfg = replace(base_config, gamma=gamma, threshold_multiplier=mult)
             score = run_detection_benchmark(fixtures, cfg, filter_spec, noise=noise)
             err = score.mean_abs_onset_error_ms
             rows.append(

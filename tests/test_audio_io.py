@@ -314,3 +314,16 @@ def test_audio_clip_immutable():
     clip = AudioClip(samples=np.zeros(10), sample_rate=44100)
     with pytest.raises(ValueError):
         clip.samples[0] = 1.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_float_sample_rejected(tmp_path, bad):
+    from ttbounce.cli import main
+
+    x = np.zeros(2 * 44100, dtype=np.float32)
+    x[1000] = bad
+    p = tmp_path / "bad.wav"
+    p.write_bytes(float32_wav_bytes([x]))
+    with pytest.raises(FormatError, match="non-finite"):
+        load_wav(p)
+    assert main(["detect", str(p)]) == 3

@@ -303,3 +303,78 @@ def test_numeric_failure_exits_4(monkeypatch, silence_wav, capsys):
     monkeypatch.setattr(cli, "cmd_detect", boom)  # bound when the parser is built
     assert main(["detect", str(silence_wav)]) == 4
     assert "block 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["filter.order=5.7", "train.epochs=2.5", "threshold_multiplier=nan", "gamma=x"])
+def test_config_value_of_wrong_type_exits_2(click_wav, tmp_path, capsys, line):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    assert main(["detect", str(click_wav), "--config", str(cfg)]) == 2
+    assert line.partition("=")[0] in capsys.readouterr().err
+
+
+def test_integral_config_value_accepted_as_int(click_wav, tmp_path):
+    cfg = tmp_path / "ok.cfg"
+    cfg.write_text("filter.order=4.0\ntrain.epochs=3\n")
+    out = tmp_path / "ev.csv"
+    assert main(["detect", str(click_wav), "--config", str(cfg), "--out", str(out)]) == 0
+    sidecar = (tmp_path / "ev.csv.config").read_text().splitlines()
+    assert "filter.order=4" in sidecar
+    assert "train.epochs=3" in sidecar
+
+
+@pytest.mark.parametrize("flag", [[], ["--epochs", "2"]], ids=["file", "flag-over-file"])
+def test_svm_epochs_resolved_from_config_file(features_file, tmp_path, flag):
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text("train.epochs=3\n")
+    model = tmp_path / "m.ttsb"
+    argv = ["train", str(features_file), "--task", "surface", "--method", "svm",
+            "--config", str(cfg), "--out", str(model)] + flag
+    assert main(argv) == 0
+    epochs = int(flag[1]) if flag else 3
+    log = (tmp_path / "m.ttsb.log.csv").read_text().splitlines()
+    assert len(log) == 1 + epochs
+    assert f"train.epochs={epochs}" in (tmp_path / "m.ttsb.config").read_text().splitlines()
+
+
+def test_svm_default_epochs_recorded_in_sidecar(features_file, tmp_path):
+    model = tmp_path / "m.ttsb"
+    assert main(["train", str(features_file), "--task", "surface", "--method", "svm",
+                 "--out", str(model)]) == 0
+    assert len((tmp_path / "m.ttsb.log.csv").read_text().splitlines()) == 1 + 50
+    assert "train.epochs=50" in (tmp_path / "m.ttsb.config").read_text().splitlines()
+
+
+def test_methods_are_the_registry_kinds():
+    from ttbounce.classify import FAMILIES, METHODS
+    from ttbounce.cli import build_parser
+
+    subcommands = next(a for a in build_parser()._actions if a.dest == "command").choices
+    method = next(a for a in subcommands["train"]._actions if a.dest == "method")
+    assert METHODS == tuple(FAMILIES) == tuple(method.choices)
+    assert all(FAMILIES[kind].kind == kind for kind in FAMILIES)
+
+
+def test_readme_lists_every_config_key_with_its_type_default_and_flag():
+    from pathlib import Path
+
+    from ttbounce.detect import CONFIG_TABLE
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Config file", 1)[1].split("\n## ", 1)[0]
+    for name, key in CONFIG_TABLE.items():
+        flag = f"`{key.flag}`" if key.flag else ""
+        row = f"| `{name}` | {key.type.__name__} | {key.default!r} | {flag} |"
+        assert row.replace("|  |", "| |") in section, name
+
+
+@pytest.mark.parametrize("flag", [["--threshold-multiplier", "nan"], ["--gamma", "inf"], ["--epochs", "2.5"]])
+def test_flag_value_of_wrong_type_exits_2(click_wav, features_file, tmp_path, flag):
+    if flag[0] == "--epochs":
+        argv = ["train", str(features_file), "--task", "surface", "--method", "svm",
+                "--out", str(tmp_path / "m.ttsb")]
+    else:
+        argv = ["detect", str(click_wav)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + flag)
+    assert exc.value.code == 2

@@ -6,7 +6,7 @@ import pytest
 
 from ttbounce.classify import gmm_train, load_model, new_cnn, save_model, svm_train
 from ttbounce.classify.cnn import finalize_float32
-from ttbounce.classify import features_for_model, predict
+from ttbounce.classify import FAMILIES, features_for_model, predict
 from ttbounce.errors import FormatError
 from ttbounce.synth import gmm_blob_dataset
 
@@ -114,3 +114,52 @@ def test_saved_file_bytes_deterministic(tmp_path):
     save_model(model, p1)
     save_model(model, p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def _rewrite_header(path, mutate):
+    raw = path.read_bytes()
+    (header_len,) = struct.unpack_from("<I", raw, 5)
+    header = json.loads(raw[9 : 9 + header_len].decode())
+    mutate(header)
+    new_header = json.dumps(header, sort_keys=True).encode()
+    path.write_bytes(raw[:5] + struct.pack("<I", len(new_header)) + new_header + raw[9 + header_len :])
+
+
+def _first_arch_key(header):
+    return next(iter(FAMILIES[header["kind"]].arch_schema))
+
+
+HEADER_MUTATIONS = {
+    "arch_key_missing": lambda h: h["arch"].pop(_first_arch_key(h)),
+    "arch_key_not_int": lambda h: h["arch"].__setitem__(_first_arch_key(h), "x"),
+    "arch_not_object": lambda h: h.__setitem__("arch", [1, 2]),
+    "classes_int": lambda h: h.__setitem__("classes", 5),
+    "kind_unknown": lambda h: h.__setitem__("kind", "forest"),
+    "task_unknown": lambda h: h.__setitem__("task", ["spin"]),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(HEADER_MUTATIONS))
+@pytest.mark.parametrize("family_index", [0, 1, 2], ids=["cnn", "svm", "gmm"])
+def test_malformed_header_is_format_error(tmp_path, family_index, mutation):
+    from ttbounce import AudioClip, write_wav
+    from ttbounce.cli import main
+
+    model, _ = _random_models(3, seed=11)[family_index]
+    path = tmp_path / "m.ttsb"
+    save_model(model, path)
+    _rewrite_header(path, HEADER_MUTATIONS[mutation])
+    with pytest.raises(FormatError):
+        load_model(path)
+    wav = tmp_path / "quiet.wav"
+    write_wav(wav, AudioClip(samples=np.zeros(4410), sample_rate=44100))
+    assert main(["run", str(wav), "--surface-model", str(path)]) == 3
+
+
+def test_negative_running_variance_rejected(tmp_path):
+    model, _ = _random_models(1, seed=12)[0]
+    model.blocks[-1].running_var[0] = -1.0
+    path = tmp_path / "m.ttsb"
+    save_model(model, path)
+    with pytest.raises(FormatError, match="negative"):
+        load_model(path)
