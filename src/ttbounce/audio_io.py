@@ -267,8 +267,9 @@ def load_manifest(path: str | Path) -> DatasetManifest:
     missing = sorted({str(e.path) for e in entries if not e.path.exists()})
     if missing:
         raise ValidationError(f"{path}: missing referenced files: " + ", ".join(missing))
+    info = {p: _wav_info(p) for p in dict.fromkeys(e.path for e in entries)}
     for e in entries:
-        rate, n = _wav_info(e.path)
+        rate, n = info[e.path]
         if e.onset_ms > 1000.0 * n / rate:
             raise ValidationError(
                 f"{path}: onset {e.onset_ms} ms beyond duration of {e.path}"

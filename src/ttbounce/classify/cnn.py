@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import DataError, NumericError, ParameterError
+from ..errors import BounceError, DataError, FormatError, NumericError, ParameterError
 from .data import TaskDataset, TrainConfig, mel_inputs, stratified_split
 from .family import Layout, ModelFamily, tensor_slot
 
@@ -67,6 +67,18 @@ def spatial_trace(
     return trace
 
 
+def check_spatial(
+    input_shape: tuple[int, int],
+    n_blocks: int,
+    pools: tuple[int, ...],
+    error: type[BounceError] = ParameterError,
+) -> None:
+    """Raise ``error`` if pooling shrinks the input below 1x1 at some block."""
+    trace = spatial_trace(input_shape, n_blocks, pools)
+    if any(h < 1 or w < 1 for h, w in trace):
+        raise error(f"pooling collapses the input: spatial trace {trace}")
+
+
 def new_cnn(
     classes: tuple[str, ...],
     task: str,
@@ -76,9 +88,7 @@ def new_cnn(
     input_shape: tuple[int, int] = DEFAULT_INPUT_SHAPE,
 ) -> CnnModel:
     """He-normal initialized model; batchnorm starts at identity."""
-    trace = spatial_trace(input_shape, len(channels), pools)
-    if any(h < 1 or w < 1 for h, w in trace):
-        raise ParameterError(f"pooling collapses the input: spatial trace {trace}")
+    check_spatial(input_shape, len(channels), pools)
     rng = np.random.default_rng(seed)
     blocks = []
     in_ch = 1
@@ -489,6 +499,8 @@ def _layout(arch: dict, n_classes: int) -> Layout:
 
 
 def _empty(arch: dict, **header) -> CnnModel:
+    shape, pools = tuple(arch["input_shape"]), tuple(arch["pools"])
+    check_spatial(shape, len(arch["channels"]), pools, FormatError)
     return CnnModel(
         blocks=[ConvBlock(*[None] * 6) for _ in arch["channels"]],
         dense_w=None,

@@ -29,7 +29,9 @@ class ModelFamily:
     empty: Callable[..., Any]  # (descriptor, classes=, task=, meta=) -> model awaiting tensors
     train: Callable[..., tuple[Any, list[dict]]]  # (TaskDataset, TrainConfig, **opts) -> model, log
     default_epochs: int = TrainConfig.epochs
-    nonnegative: tuple[str, ...] = ()  # tensor attributes that may hold no negative entry
+    # Tensor attributes whose entries must be >= 0, or > 0; every tensor must be finite.
+    nonnegative: tuple[str, ...] = ()
+    positive: tuple[str, ...] = ()
 
 
 def tensor_slot(model: Any, path: str) -> tuple[Any, str]:

@@ -195,4 +195,7 @@ GMM_FAMILY = ModelFamily(
     },
     empty=lambda arch, **header: GmmModel(None, None, None, None, **header),
     train=_train,
+    # A prior or weight of 0 is legal: an unobserved class, a starved component.
+    nonnegative=("priors", "weights"),
+    positive=("variances",),
 )

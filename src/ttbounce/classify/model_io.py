@@ -124,7 +124,11 @@ def _check_header(header: object, path: Path) -> ModelFamily:
 def _build_model(family: ModelFamily, header: dict, tensors: dict, path: Path) -> Model:
     arch = header["arch"]
     classes = tuple(header["classes"])
-    model = family.empty(arch, classes=classes, task=header["task"], meta=header.get("meta", {}))
+    meta = header.get("meta", {})
+    try:
+        model = family.empty(arch, classes=classes, task=header["task"], meta=meta)
+    except FormatError as exc:  # a descriptor the family cannot build
+        raise FormatError(f"{path}: {exc}") from None
     for name, (attr, shape) in family.layout(arch, len(classes)).items():
         if name not in tensors:
             raise FormatError(f"{path}: missing tensor {name!r}")
@@ -133,7 +137,12 @@ def _build_model(family: ModelFamily, header: dict, tensors: dict, path: Path) -
             raise FormatError(
                 f"{path}: tensor {name!r} has shape {arr.shape}, descriptor implies {shape}"
             )
-        if attr.rpartition(".")[2] in family.nonnegative and np.any(arr < 0):
+        leaf = attr.rpartition(".")[2]
+        if not np.isfinite(arr).all():
+            raise FormatError(f"{path}: tensor {name!r} has non-finite entries")
+        if leaf in family.nonnegative and (arr < 0).any():
             raise FormatError(f"{path}: tensor {name!r} has negative entries")
+        if leaf in family.positive and (arr <= 0).any():
+            raise FormatError(f"{path}: tensor {name!r} has entries <= 0")
         setattr(*tensor_slot(model, attr), arr)
     return model

@@ -89,22 +89,27 @@ def cmd_detect(args: argparse.Namespace) -> int:
 def cmd_featurize(args: argparse.Namespace) -> int:
     manifest = load_manifest(args.manifest)
     _emit_config(_effective_config(args), args.out)
-    records = []
-    for entry in manifest.entries:
-        clip = load_wav(entry.path)
+    # Rows grouped by file, so each file is decoded once and dropped after
+    # its rows; records keep the manifest's row order.
+    rows: dict[Path, list[int]] = {}
+    for i, entry in enumerate(manifest.entries):
+        rows.setdefault(entry.path, []).append(i)
+    records: list[FeatureRecord | None] = [None] * len(manifest.entries)
+    for path, indices in rows.items():
+        clip = load_wav(path)
         if clip.sample_rate != DATASET_SAMPLE_RATE:
             raise DataError(
-                f"{entry.path}: sample rate {clip.sample_rate}, dataset requires {DATASET_SAMPLE_RATE}"
+                f"{path}: sample rate {clip.sample_rate}, dataset requires {DATASET_SAMPLE_RATE}"
             )
-        onset_sample = int(round(entry.onset_ms / 1000.0 * clip.sample_rate))
-        window = det.extract_window(clip, onset_sample)
-        records.append(
-            FeatureRecord(
+        for i in indices:
+            entry = manifest.entries[i]
+            onset_sample = int(round(entry.onset_ms / 1000.0 * clip.sample_rate))
+            window = det.extract_window(clip, onset_sample)
+            records[i] = FeatureRecord(
                 surface=int(entry.surface),
                 spin=int(entry.spin) if entry.spin is not None else -1,
                 cells=log_mel(window).astype(np.float32),
             )
-        )
     write_feature_file(args.out, records)
     return 0
 

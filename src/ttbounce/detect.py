@@ -5,6 +5,13 @@ around 11 kHz, speech does not), track 1 ms frame energies against an
 exponentially decaying average, and emit an event whenever a frame jumps a
 configurable multiple above that noise floor. Batch mode filters zero-phase
 for the best temporal accuracy; streaming mode filters causally.
+
+Streaming mode steps the average one frame at a time. Batch mode has all
+frame energies up front, so it runs the average as the first-order IIR
+filter it is (``lfilter``) over a chunk of frames, jumps to the first frame
+above threshold, handles that trigger and the refractory run after it, and
+resumes; its Python work scales with above-threshold runs, not frames, and
+its events are bit-identical to stepping every frame.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ from pathlib import Path
 from typing import IO, Iterable, Iterator
 
 import numpy as np
-from scipy.signal import sosfilt, sosfilt_zi
+from scipy.signal import lfilter, sosfilt, sosfilt_zi
 
 from .audio_io import AudioClip
 from .classify.data import TrainConfig
@@ -222,6 +229,11 @@ class BounceEvent:
     ema_at_onset: float
 
 
+# Frames per lfilter call in the batch scan; past a trigger the rest of a
+# chunk is recomputed, so this trades calls per clip against wasted frames.
+_SCAN_CHUNK = 512
+
+
 class _EnergyScanner:
     """Shared threshold logic for the batch and streaming detectors.
 
@@ -245,18 +257,66 @@ class _EnergyScanner:
             self.avg = energy
         floor_avg = max(self.avg, cfg.ema_floor)
         if energy > cfg.threshold_multiplier * floor_avg:
-            if k > self.block_until:
-                self.block_until = k + self.refractory_frames
-                onset = k * self.length + self._refine(frame, floor_avg)
-                return BounceEvent(
-                    onset_sample=onset,
-                    onset_s=onset / self.sample_rate,
-                    peak_energy=energy,
-                    ema_at_onset=floor_avg,
-                )
-            return None  # above threshold during refractory: no event, no update
-        self.avg = ema_update(self.avg, energy, cfg.gamma)
+            return self._trigger(k, energy, frame, floor_avg)
+        gamma = cfg.gamma  # validated in __init__; same expression as ema_update
+        self.avg = gamma * self.avg + (1.0 - gamma) * energy
         return None
+
+    def scan(self, energies: np.ndarray, filtered: np.ndarray) -> list[BounceEvent]:
+        """``step`` over every frame of ``energies`` at once: the same events, bit for bit.
+
+        Between triggers the average is the IIR filter ``step`` applies, so
+        ``lfilter`` runs it over a chunk of frames (its recursion evaluates
+        the same products and sum); the first frame above the threshold of
+        its preceding average is a trigger. After a trigger, the frames that
+        stay above the unchanged threshold inside the refractory window are
+        suppressed without an update, so they are skipped in one step.
+        ``filtered`` holds the samples the energies were taken from.
+        """
+        cfg = self.config
+        gamma, mult, ema_floor = cfg.gamma, cfg.threshold_multiplier, cfg.ema_floor
+        b, a = [1.0 - gamma], [1.0, -gamma]
+        length, n = self.length, energies.size
+        events = []
+        k = 0
+        if n and self.avg is None:
+            self.avg = float(energies[0])
+        while k < n:
+            chunk = energies[k : k + _SCAN_CHUNK]
+            after = lfilter(b, a, chunk, zi=[gamma * self.avg])[0]
+            before = np.concatenate(([self.avg], after[:-1]))
+            above = np.flatnonzero(chunk > mult * np.maximum(before, ema_floor))
+            if above.size == 0:
+                self.avg = float(after[-1])
+                k += chunk.size
+                continue
+            j = int(above[0])
+            k += j
+            self.avg = float(before[j])
+            floor_avg = max(self.avg, ema_floor)
+            ev = self._trigger(
+                k, float(energies[k]), filtered[k * length : (k + 1) * length], floor_avg
+            )
+            if ev is not None:
+                events.append(ev)
+            held = energies[k + 1 : min(self.block_until + 1, n)] > mult * floor_avg
+            k += 1 + (held.size if held.all() else int(np.argmin(held)))
+        return events
+
+    def _trigger(
+        self, k: int, energy: float, frame: np.ndarray, floor_avg: float
+    ) -> BounceEvent | None:
+        """An above-threshold frame: an event unless inside the refractory window."""
+        if k <= self.block_until:
+            return None  # no event, and no update of the average
+        self.block_until = k + self.refractory_frames
+        onset = k * self.length + self._refine(frame, floor_avg)
+        return BounceEvent(
+            onset_sample=onset,
+            onset_s=onset / self.sample_rate,
+            peak_energy=energy,
+            ema_at_onset=floor_avg,
+        )
 
     def _refine(self, frame: np.ndarray, floor_avg: float) -> int:
         # First sample whose squared amplitude clears the threshold; one
@@ -281,14 +341,7 @@ def detect_bounces(
     cascade = design_butterworth_highpass(filter_spec)
     filtered = filter_zero_phase(cascade, clip).samples
     scanner = _EnergyScanner(config, clip.sample_rate)
-    length = scanner.length
-    energies = _frame_energy_array(filtered, length)
-    events = []
-    for k in range(energies.size):
-        ev = scanner.step(k, float(energies[k]), filtered[k * length : (k + 1) * length])
-        if ev is not None:
-            events.append(ev)
-    return events
+    return scanner.scan(_frame_energy_array(filtered, scanner.length), filtered)
 
 
 class StreamingDetector:

@@ -86,6 +86,51 @@ def test_missing_audio_exits_2(tmp_path, capsys):
     assert "nope.wav" in capsys.readouterr().err
 
 
+def test_featurize_decodes_each_file_once(tmp_path, monkeypatch):
+    from collections import Counter
+    from pathlib import Path
+
+    import ttbounce.cli as cli
+    from ttbounce import extract_window, load_wav, log_mel, read_feature_file
+
+    fx = click_fixture(seed=5, dur_s=1.5)
+    for name in ("a.wav", "b.wav"):
+        write_wav(tmp_path / name, fx.clip)
+    # Twelve rows over two interleaved files, each row with its own onset and surface.
+    rows = [
+        (("a.wav", "b.wav")[i % 3 == 2], 50.0 + 100.0 * i, ("table", "floor")[i % 2])
+        for i in range(12)
+    ]
+    manifest = tmp_path / "m.csv"
+    manifest.write_text(
+        "path,onset_ms,surface,spin\n" + "".join(f"{p},{ms},{s},\n" for p, ms, s in rows)
+    )
+    reads, decodes = Counter(), Counter()
+    read_bytes, decode = Path.read_bytes, cli.load_wav
+
+    def counting_read(self):
+        reads[self.name] += 1
+        return read_bytes(self)
+
+    def counting_decode(path):
+        decodes[Path(path).name] += 1
+        return decode(path)
+
+    monkeypatch.setattr(Path, "read_bytes", counting_read)
+    monkeypatch.setattr(cli, "load_wav", counting_decode)
+    out = tmp_path / "f.ttfe"
+    assert main(["featurize", str(manifest), "--out", str(out)]) == 0
+    assert decodes == {"a.wav": 1, "b.wav": 1}
+    # One read for the manifest's duration check, one for the decode.
+    assert reads["a.wav"] == reads["b.wav"] == 2
+    records = read_feature_file(out)
+    assert [r.surface for r in records] == [(10, 11)[i % 2] for i in range(12)]
+    clip = load_wav(tmp_path / "a.wav")
+    for record, (_, ms, _) in zip(records, rows):
+        window = extract_window(clip, int(round(ms / 1000.0 * clip.sample_rate)))
+        assert np.array_equal(record.cells, log_mel(window).astype(np.float32))
+
+
 def test_featurize_roundtrip_and_determinism(tmp_path, capsys):
     fx = click_fixture(seed=4, n_clicks=1)
     wav = tmp_path / "one.wav"

@@ -332,3 +332,92 @@ def test_detector_config_validation():
         DetectorConfig(frame_ms=0.1).validate(FS)  # fewer than 8 samples
     with pytest.raises(ParameterError):
         DetectorConfig(ema_floor=0.0).validate(FS)
+
+
+# --- vectorised batch scan --------------------------------------------------------------
+
+
+def _step_all(scanner, energies, filtered):
+    length, events = scanner.length, []
+    for k in range(energies.size):
+        ev = scanner.step(k, float(energies[k]), filtered[k * length : (k + 1) * length])
+        if ev is not None:
+            events.append(ev)
+    return events
+
+
+def _event_bits(events):
+    return [
+        (e.onset_sample, e.onset_s, e.peak_energy, e.ema_at_onset, type(e.peak_energy))
+        for e in events
+    ]
+
+
+@settings(max_examples=60)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([8000, 22050, 44100]),
+    st.sampled_from([1e-6, 0.5, 0.9, 0.995, 1.0 - 1e-9]),
+    st.sampled_from([1.0000001, 1.5, 8.0, 100.0]),
+    st.sampled_from([0.0, 1.0, 30.0, 500.0]),
+    st.sampled_from([1e-300, 1e-8, 1e-2]),
+    st.sampled_from(["zeros", "noise", "bursts", "wide"]),
+    st.integers(0, 2500),
+)
+def test_scan_equals_step_loop_exactly(seed, rate, gamma, mult, refractory_ms, ema_floor, kind, n):
+    from ttbounce.detect import _EnergyScanner
+
+    cfg = DetectorConfig(
+        gamma=gamma, threshold_multiplier=mult, refractory_ms=refractory_ms, ema_floor=ema_floor
+    )
+    gen = np.random.default_rng(seed)
+    energies = np.zeros(n) if kind == "zeros" else gen.exponential(1e-4, n)
+    if kind == "bursts":
+        for start in gen.integers(0, max(n, 1), size=8):
+            energies[start : start + int(gen.integers(1, 60))] *= 10 ** gen.uniform(0, 6)
+    elif kind == "wide":
+        energies = 10 ** gen.uniform(-300, 3, n)
+        energies[gen.random(n) < 0.3] = 0.0
+    stepped, scanned = _EnergyScanner(cfg, rate), _EnergyScanner(cfg, rate)
+    length = stepped.length
+    filtered = gen.standard_normal(n * length) * np.sqrt(np.repeat(energies, length))
+    expected = _step_all(stepped, energies, filtered)
+    got = scanned.scan(energies, filtered)
+    assert _event_bits(got) == _event_bits(expected)
+    assert (scanned.avg, scanned.block_until) == (stepped.avg, stepped.block_until)
+
+
+def test_batch_detection_makes_no_per_frame_step(monkeypatch):
+    from ttbounce.detect import _EnergyScanner
+
+    def no_step(*_):
+        raise AssertionError("batch detection stepped a frame")
+
+    monkeypatch.setattr(_EnergyScanner, "step", no_step)
+    fx = fixture_set(1, seed=4, n_clicks=3)[0]
+    assert len(detect_bounces(fx.clip, DetectorConfig(), FilterSpec())) == 3
+
+
+def test_streaming_step_does_not_revalidate_gamma(monkeypatch):
+    import ttbounce.detect as detect
+
+    def no_ema(*_):
+        raise AssertionError("streaming step called ema_update")
+
+    monkeypatch.setattr(detect, "ema_update", no_ema)
+    clip = _click_clip(22050, noise_rms=5e-4)
+    events = list(detect_streaming(stream_frames(clip, 1.0), DetectorConfig(), FilterSpec()))
+    assert len(events) == 1
+
+
+def test_streaming_matches_batch_onsets_within_two_frames():
+    cfg, spec = DetectorConfig(), FilterSpec()
+    bound = 2 * 44  # two 1 ms frames at 44.1 kHz
+    for fx in fixture_set(50, seed=7):
+        batch = [e.onset_sample for e in detect_bounces(fx.clip, cfg, spec)]
+        stream = [
+            e.onset_sample
+            for e in detect_streaming(stream_frames(fx.clip, cfg.frame_ms), cfg, spec)
+        ]
+        assert len(batch) == len(stream)
+        assert all(abs(b - s) <= bound for b, s in zip(batch, stream))

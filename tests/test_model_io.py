@@ -163,3 +163,59 @@ def test_negative_running_variance_rejected(tmp_path):
     save_model(model, path)
     with pytest.raises(FormatError, match="negative"):
         load_model(path)
+
+
+def _run_exit_code(tmp_path, model_path):
+    from ttbounce import AudioClip, write_wav
+    from ttbounce.cli import main
+
+    wav = tmp_path / "quiet.wav"
+    write_wav(wav, AudioClip(samples=np.zeros(4410), sample_rate=44100))
+    return main(["run", str(wav), "--surface-model", str(model_path)])
+
+
+GMM_TENSOR_FAULTS = {
+    "variance_zero": ("variances", 0.0),
+    "variance_negative": ("variances", -1.0),
+    "variance_nan": ("variances", np.nan),
+    "variance_inf": ("variances", np.inf),
+    "prior_negative": ("priors", -0.5),
+    "prior_nan": ("priors", np.nan),
+    "weight_negative": ("weights", -0.1),
+    "weight_inf": ("weights", np.inf),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(GMM_TENSOR_FAULTS))
+def test_gmm_bad_tensor_is_format_error(tmp_path, fault):
+    attr, value = GMM_TENSOR_FAULTS[fault]
+    model, _ = _random_models(3, seed=13)[2]
+    getattr(model, attr).flat[0] = value
+    path = tmp_path / "m.ttsb"
+    save_model(model, path)
+    with pytest.raises(FormatError):
+        load_model(path)
+    assert _run_exit_code(tmp_path, path) == 3
+
+
+def test_gmm_zero_prior_and_weight_load(tmp_path):
+    # An unobserved class has prior 0; a starved component can have weight 0.
+    model, feats = _random_models(3, seed=13)[2]
+    model.priors[0] = 0.0
+    model.weights[1, 0] = 0.0
+    path = tmp_path / "m.ttsb"
+    save_model(model, path)
+    _, scores = predict(load_model(path), feats)
+    assert not np.any(np.isnan(scores))
+
+
+def test_cnn_pools_collapsing_input_is_format_error(tmp_path):
+    model = new_cnn(("a", "b"), "surface", channels=(2, 3, 3), pools=(2,), input_shape=(8, 6))
+    finalize_float32(model)
+    path = tmp_path / "m.ttsb"
+    save_model(model, path)
+    # Pooling after each of the three blocks takes 8x6 to 4x3, 2x1, then 1x0.
+    _rewrite_header(path, lambda h: h["arch"].__setitem__("pools", [1, 2, 3]))
+    with pytest.raises(FormatError, match="collapses"):
+        load_model(path)
+    assert _run_exit_code(tmp_path, path) == 3
