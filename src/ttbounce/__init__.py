@@ -39,7 +39,6 @@ from .detect import (
 from .features import (
     FeatureRecord,
     MelSpectrogram,
-    StftSpec,
     hz_to_mel,
     log_mel,
     mel_filterbank,
@@ -67,7 +66,6 @@ __all__ = [
     "MelSpectrogram",
     "MixResult",
     "SpinClass",
-    "StftSpec",
     "StreamingDetector",
     "SurfaceClass",
     "design_butterworth_highpass",

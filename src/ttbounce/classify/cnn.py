@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import BounceError, DataError, FormatError, NumericError, ParameterError
+from ..features import N_FRAMES, N_MELS
 from .data import TaskDataset, TrainConfig, mel_inputs, stratified_split
 from .family import Layout, ModelFamily, tensor_slot
 
@@ -24,7 +25,7 @@ RUNNING_MOMENTUM = 0.9  # running = m*running + (1-m)*batch
 
 DEFAULT_CHANNELS = (8, 16, 32, 32, 64, 64)
 DEFAULT_POOLS = (2, 4)
-DEFAULT_INPUT_SHAPE = (64, 7)
+DEFAULT_INPUT_SHAPE = (N_MELS, N_FRAMES)
 
 
 @dataclass

@@ -50,11 +50,14 @@ def _kmeanspp_centers(x: np.ndarray, k: int, rng: np.random.Generator) -> np.nda
 
 
 def _component_logpdf(x: np.ndarray, means: np.ndarray, variances: np.ndarray) -> np.ndarray:
-    """Log density of each sample under each diagonal component, (n, k)."""
-    diff2 = (x[:, None, :] - means[None]) ** 2
-    return -0.5 * np.sum(
-        np.log(2.0 * np.pi * variances)[None] + diff2 / variances[None], axis=2
-    )
+    """Log density of samples under diagonal components, broadcast over leading axes.
+
+    ``x`` (..., d) against ``means`` and ``variances`` (..., k, d) gives
+    (..., k): (n, d) rows against one mixture's (k, d) parameters give
+    (n, k), and (n, 1, d) rows against every class's (C, k, d) give (n, C, k).
+    """
+    diff2 = (x[..., None, :] - means) ** 2
+    return -0.5 * np.sum(np.log(2.0 * np.pi * variances) + diff2 / variances, axis=-1)
 
 
 def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
@@ -143,15 +146,12 @@ def gmm_train(
 def predict_gmm(model: GmmModel, features: np.ndarray) -> np.ndarray:
     """Per-class log prior + mixture log-likelihood scores, (N, n_classes)."""
     x = np.atleast_2d(np.asarray(features, dtype=np.float64))
-    scores = np.empty((x.shape[0], model.n_classes))
+    logpdf = _component_logpdf(
+        x[:, None, :], model.means.astype(np.float64), model.variances.astype(np.float64)
+    )
+    log_weights = np.log(np.maximum(model.weights.astype(np.float64), 1e-300))
     log_priors = np.log(np.maximum(model.priors.astype(np.float64), 1e-300))
-    for c in range(model.n_classes):
-        logpdf = _component_logpdf(
-            x, model.means[c].astype(np.float64), model.variances[c].astype(np.float64)
-        )
-        joint = logpdf + np.log(np.maximum(model.weights[c].astype(np.float64), 1e-300))[None]
-        scores[:, c] = _logsumexp(joint, axis=1) + log_priors[c]
-    return scores
+    return _logsumexp(logpdf + log_weights, axis=-1) + log_priors
 
 
 def _train(ds: TaskDataset, config: TrainConfig, gmm_components: int, **_):

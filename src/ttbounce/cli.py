@@ -97,14 +97,13 @@ def cmd_featurize(args: argparse.Namespace) -> int:
     records: list[FeatureRecord | None] = [None] * len(manifest.entries)
     for path, indices in rows.items():
         clip = load_wav(path)
-        if clip.sample_rate != DATASET_SAMPLE_RATE:
-            raise DataError(
-                f"{path}: sample rate {clip.sample_rate}, dataset requires {DATASET_SAMPLE_RATE}"
-            )
         for i in indices:
             entry = manifest.entries[i]
             onset_sample = int(round(entry.onset_ms / 1000.0 * clip.sample_rate))
-            window = det.extract_window(clip, onset_sample)
+            try:
+                window = det.extract_window(clip, onset_sample)
+            except DataError as exc:  # name the file among many
+                raise DataError(f"{path}: {exc}") from None
             records[i] = FeatureRecord(
                 surface=int(entry.surface),
                 spin=int(entry.spin) if entry.spin is not None else -1,

@@ -22,11 +22,12 @@ from pathlib import Path
 from typing import IO, Iterable, Iterator
 
 import numpy as np
-from scipy.signal import lfilter, sosfilt, sosfilt_zi
+from scipy.signal import lfilter, sosfilt, sosfiltfilt
 
-from .audio_io import AudioClip
+from .audio_io import DATASET_SAMPLE_RATE, AudioClip
 from .classify.data import TrainConfig
-from .errors import ParameterError, ProtocolError
+from .errors import DataError, ParameterError, ProtocolError
+from .features import PRE_ONSET, WINDOW_LEN
 
 
 @dataclass(frozen=True)
@@ -135,12 +136,6 @@ def filter_forward(cascade: BiquadCascade, clip: AudioClip) -> AudioClip:
     return AudioClip(samples=y, sample_rate=clip.sample_rate)
 
 
-def _odd_pad(x: np.ndarray, padlen: int) -> np.ndarray:
-    left = 2.0 * x[0] - x[padlen:0:-1]
-    right = 2.0 * x[-1] - x[-2 : -padlen - 2 : -1]
-    return np.concatenate([left, x, right])
-
-
 def filter_zero_phase(cascade: BiquadCascade, clip: AudioClip) -> AudioClip:
     """Forward-backward filtering: zero net phase, squared magnitude response.
 
@@ -155,14 +150,8 @@ def filter_zero_phase(cascade: BiquadCascade, clip: AudioClip) -> AudioClip:
         raise ParameterError(
             f"clip too short for zero-phase filtering: {x.size} samples <= pad {padlen}"
         )
-    sos = cascade.sos()
-    zi = sosfilt_zi(sos)
-    ext = _odd_pad(x, padlen)
-    y, _ = sosfilt(sos, ext, zi=zi * ext[0])
-    y = y[::-1]
-    y, _ = sosfilt(sos, y, zi=zi * y[0])
-    y = y[::-1]
-    return AudioClip(samples=y[padlen : padlen + x.size], sample_rate=clip.sample_rate)
+    y = sosfiltfilt(cascade.sos(), x, padtype="odd", padlen=padlen)
+    return AudioClip(samples=y, sample_rate=clip.sample_rate)
 
 
 # --- Frame energy and the decaying average -----------------------------------
@@ -285,7 +274,9 @@ class _EnergyScanner:
             chunk = energies[k : k + _SCAN_CHUNK]
             after = lfilter(b, a, chunk, zi=[gamma * self.avg])[0]
             before = np.concatenate(([self.avg], after[:-1]))
-            above = np.flatnonzero(chunk > mult * np.maximum(before, ema_floor))
+            with np.errstate(over="ignore"):  # an infinite threshold, as in step
+                threshold = mult * np.maximum(before, ema_floor)
+            above = np.flatnonzero(chunk > threshold)
             if above.size == 0:
                 self.avg = float(after[-1])
                 k += chunk.size
@@ -400,23 +391,24 @@ def detect_streaming(
         yield from det.process_frame(index, samples)
 
 
-def extract_window(
-    clip: AudioClip,
-    event: BounceEvent | int,
-    window_len: int = 661,
-    pre_onset_ms: float = 1.0,
-) -> np.ndarray:
+def extract_window(clip: AudioClip, event: BounceEvent | int) -> np.ndarray:
     """Cut the classifier input window from the unfiltered signal.
 
-    The window starts ``pre_onset_ms`` before the onset sample; regions
-    outside the clip are zero-padded, so the result always has
-    ``window_len`` samples.
+    The window starts ``PRE_ONSET`` samples before the onset sample;
+    regions outside the clip are zero-padded, so the result always has
+    ``WINDOW_LEN`` samples. The front end is built for the dataset rate,
+    so a clip at any other rate is refused here, before it is classified.
     """
+    if clip.sample_rate != DATASET_SAMPLE_RATE:
+        raise DataError(
+            f"sample rate {clip.sample_rate} Hz; the classifier front end "
+            f"requires {DATASET_SAMPLE_RATE} Hz"
+        )
     onset = event.onset_sample if isinstance(event, BounceEvent) else int(event)
-    start = onset - int(clip.sample_rate * pre_onset_ms / 1000.0)
-    out = np.zeros(window_len)
+    start = onset - PRE_ONSET
+    out = np.zeros(WINDOW_LEN)
     lo = max(start, 0)
-    hi = min(start + window_len, len(clip))
+    hi = min(start + WINDOW_LEN, len(clip))
     if hi > lo:
         out[lo - start : hi - start] = clip.samples[lo:hi]
     return out

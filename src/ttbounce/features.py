@@ -1,9 +1,13 @@
-"""Classifier input features: mel spectrograms and MFCC vectors.
+"""Classifier input features: the fixed log-mel front end and MFCC vectors.
 
-A 661-sample window under the default STFT settings (256-point FFT, hop
-64, periodic Hann) yields 7 frames; 64 mel bands give the 64x7 matrix the
-CNN consumes. The GMM baseline takes 20 frame-averaged MFCCs computed from
-the same log-mel matrix before normalization.
+The front end has one geometry, built for the dataset rate
+(``audio_io.DATASET_SAMPLE_RATE``, 44.1 kHz): a 661-sample window that
+starts 44 samples (1 ms) before the onset, cut into 7 frames by a
+256-point periodic-Hann STFT at hop 64, and 64 mel bands, giving the 64x7
+matrix every TTFE1 file stores and every classifier consumes. The Hann
+window and the mel filterbank are built once, at import. The GMM baseline
+takes 20 frame-averaged MFCCs computed from the same log-mel matrix before
+normalization.
 """
 
 from __future__ import annotations
@@ -15,52 +19,33 @@ from pathlib import Path
 import numpy as np
 from scipy.fft import dct
 
+from .audio_io import DATASET_SAMPLE_RATE
 from .errors import FormatError, ParameterError
 
 LOG_FLOOR = 1e-10
+N_FFT = 256
+HOP = 64
 N_MELS = 64
-N_FRAMES = 7
 WINDOW_LEN = 661
+N_FRAMES = (WINDOW_LEN - N_FFT) // HOP + 1  # 7
+PRE_ONSET = 44  # samples of the window before the onset: 1 ms at the dataset rate
 N_MFCC = 20
 
-
-@dataclass(frozen=True)
-class StftSpec:
-    n_fft: int = 256
-    hop: int = 64
-
-    def validate(self) -> None:
-        if self.n_fft < 2 or self.n_fft & (self.n_fft - 1):
-            raise ParameterError(f"n_fft must be a power of two, got {self.n_fft}")
-        if not 0 < self.hop <= self.n_fft:
-            raise ParameterError(f"hop must lie in [1, n_fft], got {self.hop}")
-
-    def n_frames(self, window_len: int) -> int:
-        return (window_len - self.n_fft) // self.hop + 1
+_HANN = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(N_FFT) / N_FFT)  # periodic
 
 
-def hann_periodic(n: int) -> np.ndarray:
-    return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
-
-
-def stft(window: np.ndarray, spec: StftSpec = StftSpec()) -> np.ndarray:
+def stft(window: np.ndarray) -> np.ndarray:
     """Short-time Fourier transform, bins x frames, no centering.
 
-    Frame t covers samples [t*hop, t*hop + n_fft); each frame is Hann
+    Frame t covers samples [t*HOP, t*HOP + N_FFT); each frame is Hann
     windowed and only the non-negative-frequency bins are kept.
     """
-    spec.validate()
     x = np.asarray(window, dtype=np.float64)
-    if x.ndim != 1 or x.size < spec.n_fft:
-        raise ParameterError(
-            f"window of {x.size} samples is shorter than n_fft={spec.n_fft}"
-        )
-    n_frames = spec.n_frames(x.size)
-    win = hann_periodic(spec.n_fft)
-    frames = np.stack(
-        [x[t * spec.hop : t * spec.hop + spec.n_fft] for t in range(n_frames)]
-    )
-    return np.fft.rfft(frames * win, axis=1).T
+    if x.ndim != 1 or x.size < N_FFT:
+        raise ParameterError(f"window of {x.size} samples is shorter than n_fft={N_FFT}")
+    n_frames = (x.size - N_FFT) // HOP + 1
+    frames = np.stack([x[t * HOP : t * HOP + N_FFT] for t in range(n_frames)])
+    return np.fft.rfft(frames * _HANN, axis=1).T
 
 
 def hz_to_mel(f: np.ndarray | float) -> np.ndarray | float:
@@ -88,14 +73,8 @@ def _triangle_cell_average(fl: float, fc: float, fr: float, a: float, b: float) 
     return total / (b - a)
 
 
-def mel_filterbank(
-    n_mels: int = N_MELS,
-    n_fft: int = 256,
-    sample_rate: int = 44100,
-    f_min: float = 0.0,
-    f_max: float | None = None,
-) -> np.ndarray:
-    """Triangular mel filterbank, (n_mels, n_fft//2 + 1).
+def mel_filterbank() -> np.ndarray:
+    """Triangular mel filterbank from 0 Hz to Nyquist, (N_MELS, N_FFT//2 + 1).
 
     Filter peaks are equally spaced on the mel scale with 50% overlap and
     every triangle peaks at 1. Weights are the triangle's average over each
@@ -103,20 +82,13 @@ def mel_filterbank(
     a point sample leaves the narrow low-frequency triangles without any
     bin at this resolution, and every band must stay live.
     """
-    if f_max is None:
-        f_max = sample_rate / 2.0
-    if not 0.0 <= f_min < f_max <= sample_rate / 2.0:
-        raise ParameterError(
-            f"need 0 <= f_min < f_max <= Nyquist, got f_min={f_min}, f_max={f_max}"
-        )
-    if n_mels < 1:
-        raise ParameterError(f"n_mels must be >= 1, got {n_mels}")
-    edges = np.asarray(mel_to_hz(np.linspace(hz_to_mel(f_min), hz_to_mel(f_max), n_mels + 2)))
-    n_bins = n_fft // 2 + 1
-    cell = sample_rate / n_fft
+    nyquist = DATASET_SAMPLE_RATE / 2.0
+    edges = np.asarray(mel_to_hz(np.linspace(hz_to_mel(0.0), hz_to_mel(nyquist), N_MELS + 2)))
+    n_bins = N_FFT // 2 + 1
+    cell = DATASET_SAMPLE_RATE / N_FFT
     centers = np.arange(n_bins) * cell
-    fb = np.zeros((n_mels, n_bins))
-    for j in range(n_mels):
+    fb = np.zeros((N_MELS, n_bins))
+    for j in range(N_MELS):
         fl, fc, fr = edges[j], edges[j + 1], edges[j + 2]
         lo = max(0, int((fl - cell / 2) // cell))
         hi = min(n_bins - 1, int((fr + cell / 2) // cell) + 1)
@@ -124,34 +96,16 @@ def mel_filterbank(
             a, b = centers[k] - cell / 2, centers[k] + cell / 2
             if b > fl and a < fr:
                 fb[j, k] = _triangle_cell_average(fl, fc, fr, a, b)
-    empty = np.flatnonzero(fb.sum(axis=1) <= 0.0)
-    if empty.size:
-        raise ParameterError(
-            f"{empty.size} empty mel filters at this resolution: indices {empty.tolist()}"
-        )
     return fb
 
 
-_FB_CACHE: dict[tuple, np.ndarray] = {}
+_FILTERBANK = mel_filterbank()
 
 
-def _cached_filterbank(spec: StftSpec, sample_rate: int, n_mels: int) -> np.ndarray:
-    key = (n_mels, spec.n_fft, sample_rate)
-    if key not in _FB_CACHE:
-        _FB_CACHE[key] = mel_filterbank(n_mels=n_mels, n_fft=spec.n_fft, sample_rate=sample_rate)
-    return _FB_CACHE[key]
-
-
-def log_mel(
-    window: np.ndarray,
-    spec: StftSpec = StftSpec(),
-    sample_rate: int = 44100,
-    n_mels: int = N_MELS,
-) -> np.ndarray:
-    """Log-compressed mel power matrix (n_mels, n_frames), no normalization."""
-    power = np.square(np.abs(stft(window, spec)))
-    fb = _cached_filterbank(spec, sample_rate, n_mels)
-    return np.log(fb @ power + LOG_FLOOR)
+def log_mel(window: np.ndarray) -> np.ndarray:
+    """Log-compressed mel power matrix (N_MELS, frames), no normalization."""
+    power = np.square(np.abs(stft(window)))
+    return np.log(_FILTERBANK @ power + LOG_FLOOR)
 
 
 def normalize_cells(values: np.ndarray) -> np.ndarray:
@@ -173,36 +127,23 @@ class MelSpectrogram:
         return self.values.shape
 
 
-def mel_spectrogram(
-    window: np.ndarray,
-    spec: StftSpec = StftSpec(),
-    sample_rate: int = 44100,
-    n_mels: int = N_MELS,
-) -> MelSpectrogram:
+def mel_spectrogram(window: np.ndarray) -> MelSpectrogram:
     """Normalized log-mel spectrogram of one onset-aligned window."""
-    return MelSpectrogram(
-        values=normalize_cells(log_mel(window, spec, sample_rate, n_mels)), normalized=True
-    )
+    return MelSpectrogram(values=normalize_cells(log_mel(window)), normalized=True)
 
 
-def mfcc(
-    window: np.ndarray,
-    spec: StftSpec = StftSpec(),
-    n_coeffs: int = N_MFCC,
-    sample_rate: int = 44100,
-    n_mels: int = N_MELS,
-) -> np.ndarray:
+def mfcc(window: np.ndarray) -> np.ndarray:
     """Frame-averaged mel-frequency cepstral coefficients.
 
     Orthonormal DCT-II along the mel axis of the pre-normalization log-mel
-    matrix, truncated to ``n_coeffs`` and averaged across frames.
+    matrix, truncated to ``N_MFCC`` and averaged across frames.
     """
-    return mfcc_from_cells(log_mel(window, spec, sample_rate, n_mels), n_coeffs)
+    return mfcc_from_cells(log_mel(window))
 
 
-def mfcc_from_cells(cells: np.ndarray, n_coeffs: int = N_MFCC) -> np.ndarray:
+def mfcc_from_cells(cells: np.ndarray) -> np.ndarray:
     coeffs = dct(np.asarray(cells, dtype=np.float64), type=2, axis=0, norm="ortho")
-    return coeffs[:n_coeffs].mean(axis=1)
+    return coeffs[:N_MFCC].mean(axis=1)
 
 
 # --- Feature container (TTFE1) -------------------------------------------------

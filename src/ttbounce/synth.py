@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio_io import AudioClip
-from .features import FeatureRecord, log_mel
+from .audio_io import DATASET_SAMPLE_RATE, AudioClip
+from .features import PRE_ONSET, WINDOW_LEN, FeatureRecord, log_mel
 
 
 @dataclass(frozen=True)
@@ -108,8 +108,8 @@ def fixture_set(n_fixtures: int = 50, seed: int = 0, **kwargs) -> list[Detection
 def band_noise_window(
     rng: np.random.Generator,
     band: tuple[float, float],
-    n: int = 661,
-    sample_rate: int = 44100,
+    n: int = WINDOW_LEN,
+    sample_rate: int = DATASET_SAMPLE_RATE,
     pre_onset: int = 0,
 ) -> np.ndarray:
     """One classifier window of band-limited noise with random level.
@@ -127,7 +127,7 @@ def two_band_records(
     surfaces: tuple[int, int] = (10, 11),
     bands: tuple[tuple[float, float], ...] = ((1500.0, 2500.0), (14000.0, 16000.0)),
     spins: tuple[int, int] = (-1, -1),
-    pre_onset: int = 44,
+    pre_onset: int = PRE_ONSET,
 ) -> list[FeatureRecord]:
     """Separable-by-construction two-class feature records.
 

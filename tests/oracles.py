@@ -97,3 +97,36 @@ def model_gradcheck_worst(model, x: np.ndarray, y: np.ndarray, h: float = 1e-3) 
         fd = fd_gradient(lambda: cnn_loss_and_grad(model, x, y)[0], p, h)
         worst = max(worst, max_rel_error(g, fd))
     return worst
+
+
+def zero_phase_reference(sos: np.ndarray, x: np.ndarray, padlen: int) -> np.ndarray:
+    """Forward-backward filtering written out: odd-reflection pad of ``padlen``
+    at each end, each pass started from the steady state of its first sample."""
+    from scipy.signal import sosfilt, sosfilt_zi
+
+    left = 2.0 * x[0] - x[padlen:0:-1]
+    right = 2.0 * x[-1] - x[-2 : -padlen - 2 : -1]
+    ext = np.concatenate([left, x, right])
+    zi = sosfilt_zi(sos)
+    y, _ = sosfilt(sos, ext, zi=zi * ext[0])
+    y = y[::-1]
+    y, _ = sosfilt(sos, y, zi=zi * y[0])
+    return y[::-1][padlen : padlen + x.size]
+
+
+def gmm_scores_reference(priors, weights, means, variances, x: np.ndarray) -> np.ndarray:
+    """Per-class log prior + diagonal-mixture log-likelihood, one class at a time,
+    from ``scipy.stats.norm``. Priors and weights are clamped at 1e-300, as the
+    scorer does, so an unobserved class scores finite."""
+    from scipy.special import logsumexp
+    from scipy.stats import norm
+
+    x = np.asarray(x, dtype=np.float64)
+    scores = np.empty((x.shape[0], len(priors)))
+    for c in range(len(priors)):
+        mu = np.asarray(means[c], dtype=np.float64)
+        sd = np.sqrt(np.asarray(variances[c], dtype=np.float64))
+        logpdf = norm.logpdf(x[:, None, :], loc=mu, scale=sd).sum(axis=2)
+        log_w = np.log(np.maximum(np.asarray(weights[c], dtype=np.float64), 1e-300))
+        scores[:, c] = logsumexp(logpdf + log_w, axis=1) + np.log(max(float(priors[c]), 1e-300))
+    return scores

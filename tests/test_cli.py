@@ -262,6 +262,32 @@ def test_detect_handles_other_sample_rates(tmp_path, capsys):
     assert len(lines) == 2
 
 
+@pytest.mark.parametrize("rate", [48000, 22050])
+def test_classifying_another_rate_exits_3(rate, features_file, tmp_path, capsys):
+    fx = click_fixture(seed=8, n_clicks=1, sample_rate=rate)
+    wav = tmp_path / "other_rate.wav"
+    write_wav(wav, fx.clip)
+    model = tmp_path / "m.ttsb"
+    assert main([
+        "train", str(features_file), "--task", "surface", "--method", "svm",
+        "--epochs", "2", "--out", str(model),
+    ]) == 0
+    manifest = tmp_path / "m.csv"
+    onset_ms = fx.onsets_s[0] * 1000.0
+    manifest.write_text(f"path,onset_ms,surface,spin\nother_rate.wav,{onset_ms},table,\n")
+    capsys.readouterr()
+    assert main(["detect", str(wav)]) == 0
+    assert len(capsys.readouterr().out.strip().splitlines()) == 2  # header + the click
+    for argv in (
+        ["run", str(wav), "--surface-model", str(model)],
+        ["featurize", str(manifest), "--out", str(tmp_path / "f.ttfe")],
+    ):
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert str(rate) in err and "44100" in err
+    assert "other_rate.wav" in err  # featurize names the file
+
+
 def test_run_missing_model_exits_2(click_wav, tmp_path, capsys):
     missing = tmp_path / "no_model.ttsb"
     assert main(["run", str(click_wav), "--surface-model", str(missing)]) == 2

@@ -387,6 +387,29 @@ def test_scan_equals_step_loop_exactly(seed, rate, gamma, mult, refractory_ms, e
     assert (scanned.avg, scanned.block_until) == (stepped.avg, stepped.block_until)
 
 
+def test_scan_near_float_max_is_silent_and_equals_step_loop():
+    import warnings
+
+    from ttbounce.detect import _EnergyScanner
+
+    cfg = DetectorConfig()
+    gen = np.random.default_rng(5)
+    # Loud stretches push the threshold past the float maximum; the floor
+    # then decays through quiet stretches until a near-maximum burst triggers.
+    loud, quiet = gen.uniform(1e307, 1.7e308, (3, 200)), np.full((3, 1000), 1e305)
+    quiet[:, 900] = 1.7e308
+    energies = np.concatenate([loud, quiet], axis=1).ravel()
+    stepped, scanned = _EnergyScanner(cfg, FS), _EnergyScanner(cfg, FS)
+    filtered = np.sqrt(np.repeat(energies, stepped.length))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        expected = _step_all(stepped, energies, filtered)
+        got = scanned.scan(energies, filtered)
+    assert expected
+    assert _event_bits(got) == _event_bits(expected)
+    assert (scanned.avg, scanned.block_until) == (stepped.avg, stepped.block_until)
+
+
 def test_batch_detection_makes_no_per_frame_step(monkeypatch):
     from ttbounce.detect import _EnergyScanner
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import butterworth_highpass_mag_db
+from oracles import butterworth_highpass_mag_db, zero_phase_reference
 from ttbounce import (
     AudioClip,
     FilterSpec,
@@ -145,6 +145,24 @@ def test_zero_phase_magnitude_is_squared_response(default_cascade):
     gain_db = 20 * np.log10(np.sqrt(np.mean(y[mid] ** 2)) / np.sqrt(np.mean(x[mid] ** 2)))
     expected_db = 2 * 20 * np.log10(np.abs(default_cascade.response(15000.0)))[0]
     assert gain_db == pytest.approx(expected_db, abs=0.1)
+
+
+@settings(max_examples=40)
+@given(
+    st.integers(0, 10_000),
+    st.integers(1, 8),
+    st.sampled_from([8000, 22050, 44100, 48000]),
+    st.floats(0.01, 0.95),
+)
+def test_zero_phase_equals_written_out_pass_bitwise(seed, order, rate, cutoff_frac):
+    cascade = design_butterworth_highpass(
+        FilterSpec(order=order, cutoff_hz=cutoff_frac * rate / 2, sample_rate=rate)
+    )
+    gen = np.random.default_rng(seed)
+    x = gen.standard_normal(int(gen.integers(6 * order + 1, 3000))) * gen.uniform(1e-3, 1.0)
+    y = filter_zero_phase(cascade, AudioClip(samples=x, sample_rate=rate)).samples
+    expected = zero_phase_reference(cascade.sos(), x, 6 * order)
+    assert y.tobytes() == expected.tobytes()
 
 
 def test_zero_phase_rejects_short_clip(default_cascade):

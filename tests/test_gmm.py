@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import gmm_scores_reference
 from ttbounce.classify import gmm_train, predict
 from ttbounce.classify.gmm import VAR_FLOOR, fit_mixture, predict_gmm
 from ttbounce.errors import DataError
@@ -90,3 +91,25 @@ def test_training_is_deterministic():
     assert np.array_equal(m1.means, m2.means)
     assert np.array_equal(m1.variances, m2.variances)
     assert np.array_equal(m1.weights, m2.weights)
+
+
+@pytest.fixture(scope="module")
+def thirteen_class_model():
+    # Twelve observed classes and one unobserved (prior 0), like the surface task.
+    x, y = gmm_blob_dataset(30, seed=11, n_classes=12)
+    model, _ = gmm_train(x, y, tuple(f"c{i}" for i in range(13)), n_components=3, seed=0)
+    return model
+
+
+def test_batch_scores_equal_single_row_scores_bitwise(thirteen_class_model, rng):
+    x = rng.standard_normal((40, 20)) * 4.0
+    batch = predict_gmm(thirteen_class_model, x)
+    rows = np.vstack([predict_gmm(thirteen_class_model, row) for row in x])
+    assert batch.tobytes() == rows.tobytes()
+
+
+def test_scores_match_per_class_scipy_oracle(thirteen_class_model, rng):
+    m = thirteen_class_model
+    x = rng.standard_normal((25, 20)) * 4.0
+    expected = gmm_scores_reference(m.priors, m.weights, m.means, m.variances, x)
+    assert np.allclose(predict_gmm(m, x), expected, rtol=1e-9, atol=1e-9)
