@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ParameterError
+from ..errors import NumericError, ParameterError
 from ..features import FeatureRecord
 from .cnn import (
     CnnModel,
@@ -87,7 +87,7 @@ def predict(model: Model, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
     Features must already match the model's representation: 64x7
     normalized mel for the CNN, flat 448 for the SVM, 20 MFCCs for the
-    GMM (batched or single).
+    GMM (batched or single). A non-finite score raises NumericError.
     """
     family = family_of(model)
     shape = family.input_shape(model)
@@ -98,6 +98,8 @@ def predict(model: Model, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]
         dims = ", ".join(map(str, shape))
         raise ParameterError(f"{family.kind.upper()} expects (N, {dims}), got {x.shape}")
     scores = family.score(model, x)
+    if not np.isfinite(scores).all():
+        raise NumericError(f"{family.kind.upper()} model gave non-finite scores")
     return scores.argmax(axis=1), scores
 
 

@@ -6,11 +6,16 @@ A global average pool and a dense layer with softmax produce class
 probabilities. Training runs in float64 with reverse-mode gradients
 written out by hand; finished models are quantized to float32 so the
 serialized form reproduces predictions bit-exactly.
+
+Inference runs channel-first, (C, N, H, W), with the arithmetic of the
+batch-first training layout; a finished model (read-only float32
+tensors) keeps its float64 inference operands, keyed on the tensors.
 """
 
 from __future__ import annotations
 
 import copy
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,6 +54,8 @@ class CnnModel:
     pools: tuple[int, ...]
     input_shape: tuple[int, int]
     meta: dict = field(default_factory=dict)
+    # (block tensors, their inference operands) once built for a finished model
+    _infer_ops: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n_classes(self) -> int:
@@ -122,16 +129,21 @@ def new_cnn(
 # --- Layer primitives ---------------------------------------------------------
 
 
-def _im2col(x: np.ndarray) -> np.ndarray:
-    """Gather 3x3 same-padded patches: (N, C, H, W) -> (C*9, N*H*W)."""
-    n, c, h, w = x.shape
-    xp = np.zeros((n, c, h + 2, w + 2), dtype=x.dtype)
-    xp[:, :, 1:-1, 1:-1] = x
-    s = xp.strides
-    view = np.lib.stride_tricks.as_strided(
-        xp, shape=(c, 3, 3, n, h, w), strides=(s[1], s[2], s[3], s[0], s[2], s[3])
+def _patches(x: np.ndarray) -> np.ndarray:
+    """3x3 same-padded patches: (C, N, H, W) -> C-contiguous (C*9, N*H*W), rows in
+    (c, dy, dx) order. In a row-padded, flattened plane, entry (dy, dx) of pixel j
+    sits at j + dy*W + dx, so a row is one run; entries that wrap a row edge are zeroed."""
+    c, n, h, w = x.shape
+    xq = np.zeros((c, n, (h + 2) * w + 2), dtype=x.dtype)
+    xq[:, :, w + 1 : w + 1 + h * w] = x.reshape(c, n, h * w)
+    s = xq.strides
+    view = np.ndarray(  # as_strided, without its per-call overhead
+        (c, 3, 3, n, h * w), x.dtype, buffer=xq, strides=(s[0], w * s[2], s[2], s[1], s[2])
     )
-    return view.reshape(c * 9, n * h * w)
+    cols = view.copy().reshape(c, 3, 3, n, h, w)
+    cols[:, :, 0, :, :, 0] = 0.0
+    cols[:, :, 2, :, :, w - 1] = 0.0
+    return cols.reshape(c * 9, n * h * w)
 
 
 def _conv_forward(
@@ -139,7 +151,7 @@ def _conv_forward(
 ) -> tuple[np.ndarray, np.ndarray]:
     n, _, h, wd = x.shape
     f = w.shape[0]
-    cols = _im2col(x)
+    cols = _patches(x.transpose(1, 0, 2, 3))
     out = (w.reshape(f, -1) @ cols).reshape(f, n, h, wd)
     return np.ascontiguousarray(out.transpose(1, 0, 2, 3)) + b[None, :, None, None], cols
 
@@ -167,7 +179,7 @@ def _conv_backward(
 def conv2d_same_backward(
     x: np.ndarray, w: np.ndarray, dout: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    return _conv_backward(_im2col(x), x.shape, w, dout)
+    return _conv_backward(_patches(x.transpose(1, 0, 2, 3)), x.shape, w, dout)
 
 
 def batchnorm_train(
@@ -191,15 +203,6 @@ def batchnorm_train_backward(dout: np.ndarray, cache: dict) -> tuple[np.ndarray,
     mean_dxhat_xhat = (dxhat * xhat).mean(axis=(0, 2, 3), keepdims=True)
     dx = inv * (dxhat - mean_dxhat - xhat * mean_dxhat_xhat)
     return dx, dgamma, dbeta
-
-
-def batchnorm_infer(
-    x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, mean: np.ndarray, var: np.ndarray
-) -> np.ndarray:
-    inv = 1.0 / np.sqrt(var[None, :, None, None] + BN_EPS)
-    return gamma[None, :, None, None] * (x - mean[None, :, None, None]) * inv + beta[
-        None, :, None, None
-    ]
 
 
 def maxpool2(x: np.ndarray) -> tuple[np.ndarray, tuple]:
@@ -228,6 +231,15 @@ def maxpool2_backward(dout: np.ndarray, cache: tuple) -> np.ndarray:
     dx = np.zeros(in_shape, dtype=dout.dtype)
     dx[:, :, : 2 * h2, : 2 * w2] = dcrop
     return dx
+
+
+def _pool2(x: np.ndarray) -> np.ndarray:
+    """``maxpool2`` output, without the argmax indices that only training needs."""
+    h2, w2 = x.shape[-2] // 2, x.shape[-1] // 2
+    q = [x[..., dy : 2 * h2 : 2, dx : 2 * w2 : 2] for dy in (0, 1) for dx in (0, 1)]
+    # np.maximum returns its second operand on a tie (+0.0 vs -0.0), so nesting
+    # from the last quadrant inward keeps the first, as argmax does.
+    return np.maximum(q[3], np.maximum(q[2], np.maximum(q[1], q[0])))
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -265,43 +277,63 @@ def cnn_forward(model: CnnModel, mels: np.ndarray, mode: str = "infer"):
     if mode not in ("train", "infer"):
         raise ParameterError(f"mode must be 'train' or 'infer', got {mode!r}")
     x = _as_batch(mels, model.input_shape)
-    if mode == "train" and x.shape[0] < 2:
+    if mode == "infer":
+        return _infer(model, x.transpose(1, 0, 2, 3))
+    if x.shape[0] < 2:
         raise ParameterError("train mode needs a batch of at least 2 (batch statistics)")
     cache: list[dict] = []
     for i, blk in enumerate(model.blocks, start=1):
         in_shape = x.shape
-        if mode == "train":
-            x, cols = _conv_forward(x, blk.w, blk.b)
-            bn_out, bn_cache = batchnorm_train(x, blk.gamma, blk.beta)
-        else:
-            x = conv2d_same(x, blk.w, blk.b)
-            bn_out = batchnorm_infer(x, blk.gamma, blk.beta, blk.running_mean, blk.running_var)
-            bn_cache = None
-            cols = None
+        x, cols = _conv_forward(x, blk.w, blk.b)
+        bn_out, bn_cache = batchnorm_train(x, blk.gamma, blk.beta)
         relu_mask = bn_out > 0
         y = bn_out * relu_mask
         pool_cache = None
         if i in model.pools:
             y, pool_cache = maxpool2(y)
-        if mode == "train":
-            cache.append(
-                {
-                    "in_shape": in_shape,
-                    "cols": cols,
-                    "conv": x,
-                    "bn": bn_cache,
-                    "relu": relu_mask,
-                    "pool": pool_cache,
-                }
-            )
+        cache.append({"in_shape": in_shape, "cols": cols, "conv": x, "bn": bn_cache,
+                      "relu": relu_mask, "pool": pool_cache})
         x = y
     gap = x.mean(axis=(2, 3))
-    logits = gap @ model.dense_w.T + model.dense_b
-    probs = softmax(logits)
-    if mode == "train":
-        cache_out = {"blocks": cache, "gap": gap, "gap_shape": x.shape, "probs": probs}
-        return probs, cache_out
-    return probs
+    probs = softmax(gap @ model.dense_w.T + model.dense_b)
+    return probs, {"blocks": cache, "gap": gap, "gap_shape": x.shape, "probs": probs}
+
+
+def _infer_operands(model: CnnModel) -> list[tuple[np.ndarray, ...]]:
+    """Per block, in float64: the GEMM weight (F, C*9), then as (F, 1) columns conv bias,
+    running mean, gamma, 1/sqrt(running_var + eps) (in the tensors' dtype) and beta."""
+    key = [getattr(b, a) for b in model.blocks for a in _BLOCK_TENSORS.values()]
+    finished = all(t.dtype == np.float32 and not t.flags.writeable for t in key)
+    kept_key, kept_ops = model._infer_ops or ((), [])  # tensors held by reference, not id
+    if finished and len(kept_key) == len(key) and all(map(operator.is_, kept_key, key)):
+        return kept_ops
+    col = lambda t: np.asarray(t, dtype=np.float64).reshape(-1, 1)
+    ops = [
+        (np.ascontiguousarray(b.w.reshape(len(b.w), -1), dtype=np.float64), col(b.b),
+         col(b.running_mean), col(b.gamma), col(1.0 / np.sqrt(b.running_var + BN_EPS)), col(b.beta))
+        for b in model.blocks
+    ]
+    model._infer_ops = (key, ops) if finished else None
+    return ops
+
+
+def _infer(model: CnnModel, x: np.ndarray) -> np.ndarray:
+    """Probabilities (N, n_classes) for a channel-first (1, N, H, W) batch."""
+    for i, (w, b, mean, gamma, inv, beta) in enumerate(_infer_operands(model), start=1):
+        z = w @ _patches(x)
+        # In place, in the order of the batch-first conv + batchnorm expressions.
+        z += b
+        z -= mean
+        z *= gamma
+        z *= inv
+        z += beta
+        z *= z > 0  # ReLU; negatives become -0.0, as bn_out * (bn_out > 0) does
+        x = z.reshape(len(w), *x.shape[1:])  # the GEMM output is (F, N*H*W)
+        if i in model.pools:
+            x = _pool2(x)
+    # A transposed (non-contiguous) GAP can round the dense matmul differently.
+    gap = np.ascontiguousarray(x.mean(axis=(2, 3)).T)
+    return softmax(gap @ model.dense_w.T + model.dense_b)
 
 
 def cnn_loss_and_grad(
@@ -385,7 +417,9 @@ def finalize_float32(model: CnnModel) -> CnnModel:
     """Quantize all tensors to float32 so saved and live predictions agree bit-for-bit."""
     for path, _ in _layout(_arch(model), model.n_classes).values():
         owner, attr = tensor_slot(model, path)
-        setattr(owner, attr, getattr(owner, attr).astype(np.float32))
+        arr = getattr(owner, attr).astype(np.float32)
+        arr.flags.writeable = False  # a finished model's inference operands are kept
+        setattr(owner, attr, arr)
     return model
 
 
@@ -464,7 +498,7 @@ def cnn_train(
 
 def predict_cnn(model: CnnModel, mels: np.ndarray) -> np.ndarray:
     """Probability vectors (N, n_classes) in inference mode."""
-    return np.atleast_2d(cnn_forward(model, mels, mode="infer"))
+    return cnn_forward(model, mels, mode="infer")
 
 
 # --- Family record ------------------------------------------------------------

@@ -11,6 +11,7 @@ parameters once trained.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 from typing import Union
@@ -80,7 +81,7 @@ def load_model(path: str | Path) -> Model:
     chunk, pos = _read_exact(raw, pos, header_len, path)
     try:
         header = json.loads(chunk.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
         raise FormatError(f"{path}: unreadable header: {exc}") from None
     family = _check_header(header, path)
     chunk, pos = _read_exact(raw, pos, 4, path)
@@ -95,7 +96,7 @@ def load_model(path: str | Path) -> Model:
         ndim = chunk[0]
         chunk, pos = _read_exact(raw, pos, 4 * ndim, path)
         shape = struct.unpack(f"<{ndim}I", chunk)
-        count = int(np.prod(shape)) if ndim else 1
+        count = math.prod(shape)  # Python ints: a product of uint32 dims cannot wrap
         chunk, pos = _read_exact(raw, pos, 4 * count, path)
         tensors[name] = np.frombuffer(chunk, dtype="<f4").reshape(shape)
     return _build_model(family, header, tensors, path)

@@ -205,4 +205,8 @@ def read_feature_file(path: str | Path) -> list[FeatureRecord]:
             FeatureRecord(surface=surface, spin=spin, cells=cells.reshape(N_MELS, N_FRAMES))
         )
         pos += size  # honor the declared length; tolerate trailing extensions
+    # One vectorised check: per record, it would cost more than the parsing.
+    finite = np.isfinite(np.reshape([r.cells for r in records], (-1, _CELL_COUNT))).all(axis=1)
+    if not finite.all():
+        raise FormatError(f"{path}: record {finite.argmin()} has non-finite cells")
     return records

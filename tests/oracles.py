@@ -12,7 +12,7 @@ import struct
 
 import numpy as np
 
-from ttbounce.classify.cnn import _grad_refs, _param_refs, cnn_loss_and_grad
+from ttbounce.classify.cnn import BN_EPS, _grad_refs, _param_refs, cnn_loss_and_grad, maxpool2
 
 
 def pcm16_wav_bytes(channels: list[np.ndarray], rate: int = 44100) -> bytes:
@@ -130,3 +130,40 @@ def gmm_scores_reference(priors, weights, means, variances, x: np.ndarray) -> np
         log_w = np.log(np.maximum(np.asarray(weights[c], dtype=np.float64), 1e-300))
         scores[:, c] = logsumexp(logpdf + log_w, axis=1) + np.log(max(float(priors[c]), 1e-300))
     return scores
+
+
+def im2col_reference(x: np.ndarray) -> np.ndarray:
+    """3x3 same-padded patches of a batch-first (N, C, H, W) array as
+    (C*9, N*H*W), rows (c, dy, dx), columns (n, h, w), copied out of one
+    strided view of the zero-padded array."""
+    n, c, h, w = x.shape
+    xp = np.zeros((n, c, h + 2, w + 2), dtype=x.dtype)
+    xp[:, :, 1:-1, 1:-1] = x
+    s = xp.strides
+    view = np.lib.stride_tricks.as_strided(
+        xp, shape=(c, 3, 3, n, h, w), strides=(s[1], s[2], s[3], s[0], s[2], s[3])
+    )
+    return view.reshape(c * 9, n * h * w)
+
+
+def cnn_infer_reference(model, mels: np.ndarray) -> np.ndarray:
+    """CNN inference in the batch-first (N, C, H, W) layout, block by block:
+    conv as one GEMM on ``im2col_reference`` patches plus the bias,
+    batchnorm on running statistics as one expression, ReLU as a mask
+    product, ``maxpool2``, global average pool, dense, softmax."""
+    x = np.asarray(mels, dtype=np.float64)
+    x = (x[None] if x.ndim == 2 else x)[:, None]
+    col = lambda t: t[None, :, None, None]
+    for i, blk in enumerate(model.blocks, start=1):
+        n, _, h, w = x.shape
+        f = blk.w.shape[0]
+        conv = (blk.w.reshape(f, -1) @ im2col_reference(x)).reshape(f, n, h, w)
+        x = np.ascontiguousarray(conv.transpose(1, 0, 2, 3)) + col(blk.b)
+        inv = 1.0 / np.sqrt(col(blk.running_var) + BN_EPS)
+        x = col(blk.gamma) * (x - col(blk.running_mean)) * inv + col(blk.beta)
+        x = x * (x > 0)
+        if i in model.pools:
+            x = maxpool2(x)[0]
+    logits = x.mean(axis=(2, 3)) @ model.dense_w.T + model.dense_b
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)

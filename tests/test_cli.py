@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -313,6 +315,46 @@ def test_corrupt_features_exits_3(tmp_path):
     bad = tmp_path / "bad.ttfe"
     bad.write_bytes(b"GARBAGE")
     assert main(["train", str(bad), "--task", "surface", "--method", "svm", "--out", str(tmp_path / "m.ttsb")]) == 3
+
+
+@pytest.fixture
+def nan_features_file(tmp_path):
+    records = two_band_records(25, seed=2)
+    cells = records[1].cells.astype(np.float32)
+    cells[3, 2] = np.nan
+    records[1] = dataclasses.replace(records[1], cells=cells)
+    p = tmp_path / "nan.ttfe"
+    write_feature_file(p, records)
+    return p
+
+
+def test_non_finite_feature_cell_is_format_error(nan_features_file):
+    from ttbounce.errors import FormatError
+    from ttbounce.features import read_feature_file
+
+    with pytest.raises(FormatError, match="record 1 .*non-finite"):
+        read_feature_file(nan_features_file)
+
+
+@pytest.mark.parametrize("method", ["cnn", "svm", "gmm"])
+def test_train_on_non_finite_features_exits_3(method, nan_features_file, tmp_path, capsys):
+    out = tmp_path / "m.ttsb"
+    code = main(["train", str(nan_features_file), "--task", "surface", "--method", method,
+                 "--out", str(out), "--epochs", "1"])
+    assert code == 3
+    assert "record 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("method", ["cnn", "svm", "gmm"])
+def test_eval_on_non_finite_features_exits_3(method, features_file, nan_features_file, tmp_path, capsys):
+    model = tmp_path / "m.ttsb"
+    assert main(["train", str(features_file), "--task", "surface", "--method", method,
+                 "--out", str(model), "--epochs", "2"]) == 0
+    capsys.readouterr()
+    assert main(["eval", str(model), str(nan_features_file)]) == 3
+    captured = capsys.readouterr()
+    assert "record 1" in captured.err and captured.out == ""
 
 
 def test_mix_command_reports_gains(tmp_path, capsys):
