@@ -8,6 +8,7 @@ writer emits 16-bit PCM little-endian mono.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import struct
 from dataclasses import dataclass
@@ -214,6 +215,14 @@ def write_wav(path: str | Path, clip: AudioClip) -> None:
 _MANIFEST_HEADER = ["path", "onset_ms", "surface", "spin"]
 
 
+def read_utf8(path: str | Path, error: type[Exception]) -> str:
+    """The text of a file; bytes that are not UTF-8 raise ``error`` with their offset."""
+    try:
+        return Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text (byte offset {exc.start})") from None
+
+
 def load_manifest(path: str | Path) -> DatasetManifest:
     """Parse a labeled-recording manifest CSV.
 
@@ -223,46 +232,45 @@ def load_manifest(path: str | Path) -> DatasetManifest:
     path = Path(path)
     root = path.parent
     entries: list[ManifestEntry] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    reader = csv.reader(io.StringIO(read_utf8(path, ValidationError), newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ValidationError(f"{path}: empty manifest") from None
+    if [h.strip() for h in header] != _MANIFEST_HEADER:
+        raise ValidationError(
+            f"{path}: expected header {','.join(_MANIFEST_HEADER)!r}, got {','.join(header)!r}"
+        )
+    for lineno, row in enumerate(reader, start=2):
+        if not row or all(not c.strip() for c in row):
+            continue
+        if len(row) != 4:
+            raise ValidationError(f"{path}:{lineno}: expected 4 fields, got {len(row)}")
+        raw_path, raw_onset, raw_surface, raw_spin = (c.strip() for c in row)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ValidationError(f"{path}: empty manifest") from None
-        if [h.strip() for h in header] != _MANIFEST_HEADER:
-            raise ValidationError(
-                f"{path}: expected header {','.join(_MANIFEST_HEADER)!r}, got {','.join(header)!r}"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != 4:
-                raise ValidationError(f"{path}:{lineno}: expected 4 fields, got {len(row)}")
-            raw_path, raw_onset, raw_surface, raw_spin = (c.strip() for c in row)
+            onset_ms = float(raw_onset)
+        except ValueError:
+            raise ValidationError(f"{path}:{lineno}: bad onset_ms {raw_onset!r}") from None
+        if onset_ms < 0:
+            raise ValidationError(f"{path}:{lineno}: onset_ms must be >= 0")
+        try:
+            surface = SurfaceClass[raw_surface]
+        except KeyError:
+            raise ValidationError(f"{path}:{lineno}: unknown surface label {raw_surface!r}") from None
+        spin: SpinClass | None = None
+        if raw_spin:
             try:
-                onset_ms = float(raw_onset)
-            except ValueError:
-                raise ValidationError(f"{path}:{lineno}: bad onset_ms {raw_onset!r}") from None
-            if onset_ms < 0:
-                raise ValidationError(f"{path}:{lineno}: onset_ms must be >= 0")
-            try:
-                surface = SurfaceClass[raw_surface]
+                spin = SpinClass[raw_spin]
             except KeyError:
-                raise ValidationError(f"{path}:{lineno}: unknown surface label {raw_surface!r}") from None
-            spin: SpinClass | None = None
-            if raw_spin:
-                try:
-                    spin = SpinClass[raw_spin]
-                except KeyError:
-                    raise ValidationError(f"{path}:{lineno}: unknown spin label {raw_spin!r}") from None
-                if not surface.is_racket:
-                    raise ValidationError(
-                        f"{path}:{lineno}: spin label on non-racket surface {surface.name!r}"
-                    )
-            file_path = Path(raw_path)
-            if not file_path.is_absolute():
-                file_path = root / file_path
-            entries.append(ManifestEntry(file_path, onset_ms, surface, spin))
+                raise ValidationError(f"{path}:{lineno}: unknown spin label {raw_spin!r}") from None
+            if not surface.is_racket:
+                raise ValidationError(
+                    f"{path}:{lineno}: spin label on non-racket surface {surface.name!r}"
+                )
+        file_path = Path(raw_path)
+        if not file_path.is_absolute():
+            file_path = root / file_path
+        entries.append(ManifestEntry(file_path, onset_ms, surface, spin))
 
     missing = sorted({str(e.path) for e in entries if not e.path.exists()})
     if missing:

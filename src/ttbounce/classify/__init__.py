@@ -97,7 +97,8 @@ def predict(model: Model, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     if x.shape[1:] != shape:
         dims = ", ".join(map(str, shape))
         raise ParameterError(f"{family.kind.upper()} expects (N, {dims}), got {x.shape}")
-    scores = family.score(model, x)
+    with np.errstate(over="ignore", invalid="ignore"):  # the check below rejects the result
+        scores = family.score(model, x)
     if not np.isfinite(scores).all():
         raise NumericError(f"{family.kind.upper()} model gave non-finite scores")
     return scores.argmax(axis=1), scores

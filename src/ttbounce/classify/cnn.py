@@ -135,7 +135,7 @@ def _patches(x: np.ndarray) -> np.ndarray:
     sits at j + dy*W + dx, so a row is one run; entries that wrap a row edge are zeroed."""
     c, n, h, w = x.shape
     xq = np.zeros((c, n, (h + 2) * w + 2), dtype=x.dtype)
-    xq[:, :, w + 1 : w + 1 + h * w] = x.reshape(c, n, h * w)
+    xq[:, :, w + 1 : w + 1 + h * w].reshape(c, n, h, w)[...] = x  # a view: no copy of x
     s = xq.strides
     view = np.ndarray(  # as_strided, without its per-call overhead
         (c, 3, 3, n, h * w), x.dtype, buffer=xq, strides=(s[0], w * s[2], s[2], s[1], s[2])
@@ -153,7 +153,8 @@ def _conv_forward(
     f = w.shape[0]
     cols = _patches(x.transpose(1, 0, 2, 3))
     out = (w.reshape(f, -1) @ cols).reshape(f, n, h, wd)
-    return np.ascontiguousarray(out.transpose(1, 0, 2, 3)) + b[None, :, None, None], cols
+    y = np.empty((n, f, h, wd), dtype=out.dtype)  # batch-first; the bias is added in the copy
+    return np.add(out.transpose(1, 0, 2, 3), b[None, :, None, None], out=y), cols
 
 
 def conv2d_same(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -161,19 +162,29 @@ def conv2d_same(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _conv_backward(
-    cols: np.ndarray, in_shape: tuple, w: np.ndarray, dout: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    cols: np.ndarray, in_shape: tuple, w: np.ndarray, dout: np.ndarray, input_grad: bool = True
+) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+    """Input (a transposed view; None unless ``input_grad``), weight and bias grads; reuses cols."""
     n, c, h, wd = in_shape
     f = w.shape[0]
     dout_f = np.ascontiguousarray(dout.transpose(1, 0, 2, 3)).reshape(f, n * h * wd)
     dw = (dout_f @ cols.T).reshape(w.shape)
-    dcols = (w.reshape(f, -1).T @ dout_f).reshape(c, 3, 3, n, h, wd)
-    dxp = np.zeros((c, n, h + 2, wd + 2), dtype=dout.dtype)
-    for dy in range(3):
-        for dx in range(3):
-            dxp[:, :, dy : dy + h, dx : dx + wd] += dcols[:, dy, dx]
-    dx = dxp[:, :, 1:-1, 1:-1].transpose(1, 0, 2, 3)
-    return np.ascontiguousarray(dx), dw, dout.sum(axis=(0, 2, 3))
+    if not input_grad:
+        return None, dw, dout.sum(axis=(0, 2, 3))
+    # The adjoint of _patches: row (dy, dx) adds as one run at offset dy*W + dx of
+    # the row-padded plane. In (dy, dx) order from +0.0, each pixel sums the terms
+    # of a strided scatter in its order; the zeroed wrapped entries add +0.0, and
+    # a sum from +0.0 is never -0.0, so they change no bit.
+    dcols = np.matmul(w.reshape(f, -1).T, dout_f, out=cols).reshape(c, 3, 3, n, h, wd)
+    dcols[:, :, 0, :, :, 0] = 0.0
+    dcols[:, :, 2, :, :, wd - 1] = 0.0
+    rows = dcols.reshape(c, 9, n, h * wd)
+    dxq = np.zeros((c, n, (h + 2) * wd + 2), dtype=dout.dtype)
+    for k in range(9):
+        at = k // 3 * wd + k % 3
+        dxq[:, :, at : at + h * wd] += rows[:, k]
+    dx = dxq[:, :, wd + 1 : wd + 1 + h * wd].reshape(c, n, h, wd).transpose(1, 0, 2, 3)
+    return dx, dw, dout.sum(axis=(0, 2, 3))
 
 
 def conv2d_same_backward(
@@ -186,60 +197,59 @@ def batchnorm_train(
     x: np.ndarray, gamma: np.ndarray, beta: np.ndarray
 ) -> tuple[np.ndarray, dict]:
     mu = x.mean(axis=(0, 2, 3), keepdims=True)
-    var = x.var(axis=(0, 2, 3), keepdims=True)  # population variance
+    d = x - mu
+    sq = d * d
+    var = sq.sum(axis=(0, 2, 3), keepdims=True) / (x.size // x.shape[1])  # as np.var does it
     inv = 1.0 / np.sqrt(var + BN_EPS)
-    xhat = (x - mu) * inv
-    out = gamma[None, :, None, None] * xhat + beta[None, :, None, None]
+    xhat = np.multiply(d, inv, out=d)
+    out = np.multiply(xhat, gamma[None, :, None, None], out=sq)
+    out += beta[None, :, None, None]
     cache = {"xhat": xhat, "inv": inv, "gamma": gamma, "mean": mu.ravel(), "var": var.ravel()}
     return out, cache
 
 
 def batchnorm_train_backward(dout: np.ndarray, cache: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     xhat, inv, gamma = cache["xhat"], cache["inv"], cache["gamma"]
-    dgamma = (dout * xhat).sum(axis=(0, 2, 3))
+    t = dout * xhat
+    dgamma = t.sum(axis=(0, 2, 3))
     dbeta = dout.sum(axis=(0, 2, 3))
     dxhat = dout * gamma[None, :, None, None]
     mean_dxhat = dxhat.mean(axis=(0, 2, 3), keepdims=True)
-    mean_dxhat_xhat = (dxhat * xhat).mean(axis=(0, 2, 3), keepdims=True)
-    dx = inv * (dxhat - mean_dxhat - xhat * mean_dxhat_xhat)
-    return dx, dgamma, dbeta
+    mean_dxhat_xhat = np.multiply(dxhat, xhat, out=t).mean(axis=(0, 2, 3), keepdims=True)
+    # inv * (dxhat - mean_dxhat - xhat * mean_dxhat_xhat), in place
+    dxhat -= mean_dxhat
+    dxhat -= np.multiply(xhat, mean_dxhat_xhat, out=t)
+    dxhat *= inv
+    return dxhat, dgamma, dbeta
+
+
+def _quadrants(x: np.ndarray) -> list[np.ndarray]:
+    """Views of the four entries of each 2x2 window (floor), in (0,0)..(1,1) order."""
+    h2, w2 = x.shape[-2] // 2, x.shape[-1] // 2
+    return [x[..., dy : 2 * h2 : 2, dx : 2 * w2 : 2] for dy in (0, 1) for dx in (0, 1)]
+
+
+def _pool2(x: np.ndarray) -> np.ndarray:
+    """2x2 max pooling (floor) without the indices that only training needs."""
+    q = _quadrants(x)
+    # np.maximum returns its second operand on a tie (+0.0 vs -0.0), so nesting
+    # from the last quadrant inward keeps the first, as argmax does.
+    return np.maximum(q[3], np.maximum(q[2], np.maximum(q[1], q[0])))
 
 
 def maxpool2(x: np.ndarray) -> tuple[np.ndarray, tuple]:
-    n, c, h, w = x.shape
-    h2, w2 = h // 2, w // 2
-    r = (
-        x[:, :, : 2 * h2, : 2 * w2]
-        .reshape(n, c, h2, 2, w2, 2)
-        .transpose(0, 1, 2, 4, 3, 5)
-        .reshape(n, c, h2, w2, 4)
-    )
-    idx = r.argmax(axis=-1)  # first maximum wins on ties
-    out = np.take_along_axis(r, idx[..., None], axis=-1)[..., 0]
+    """``_pool2`` and, per window, the quadrant of the first maximum (as argmax picks it)."""
+    q, out = _quadrants(x), _pool2(x)
+    idx = np.where(q[0] == out, 0, np.where(q[1] == out, 1, np.where(q[2] == out, 2, 3)))
     return out, (idx, x.shape)
 
 
 def maxpool2_backward(dout: np.ndarray, cache: tuple) -> np.ndarray:
     idx, in_shape = cache
-    n, c, h, w = in_shape
-    h2, w2 = h // 2, w // 2
-    dr = np.zeros((n, c, h2, w2, 4), dtype=dout.dtype)
-    np.put_along_axis(dr, idx[..., None], dout[..., None], axis=-1)
-    dcrop = (
-        dr.reshape(n, c, h2, w2, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, 2 * h2, 2 * w2)
-    )
     dx = np.zeros(in_shape, dtype=dout.dtype)
-    dx[:, :, : 2 * h2, : 2 * w2] = dcrop
+    for k, dq in enumerate(_quadrants(dx)):
+        dq[...] = np.where(idx == k, dout, 0.0)
     return dx
-
-
-def _pool2(x: np.ndarray) -> np.ndarray:
-    """``maxpool2`` output, without the argmax indices that only training needs."""
-    h2, w2 = x.shape[-2] // 2, x.shape[-1] // 2
-    q = [x[..., dy : 2 * h2 : 2, dx : 2 * w2 : 2] for dy in (0, 1) for dx in (0, 1)]
-    # np.maximum returns its second operand on a tie (+0.0 vs -0.0), so nesting
-    # from the last quadrant inward keeps the first, as argmax does.
-    return np.maximum(q[3], np.maximum(q[2], np.maximum(q[1], q[0])))
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -285,13 +295,15 @@ def cnn_forward(model: CnnModel, mels: np.ndarray, mode: str = "infer"):
     for i, blk in enumerate(model.blocks, start=1):
         in_shape = x.shape
         x, cols = _conv_forward(x, blk.w, blk.b)
+        if not np.isfinite(x).all():
+            raise NumericError(f"non-finite activations in block {i}")
         bn_out, bn_cache = batchnorm_train(x, blk.gamma, blk.beta)
         relu_mask = bn_out > 0
-        y = bn_out * relu_mask
+        y = np.multiply(bn_out, relu_mask, out=bn_out)
         pool_cache = None
         if i in model.pools:
             y, pool_cache = maxpool2(y)
-        cache.append({"in_shape": in_shape, "cols": cols, "conv": x, "bn": bn_cache,
+        cache.append({"in_shape": in_shape, "cols": cols, "bn": bn_cache,
                       "relu": relu_mask, "pool": pool_cache})
         x = y
     gap = x.mean(axis=(2, 3))
@@ -346,10 +358,8 @@ def cnn_loss_and_grad(
     mutates the model.
     """
     labels = np.asarray(labels)
-    probs, cache = cnn_forward(model, mels, mode="train")
-    for i, blk_cache in enumerate(cache["blocks"], start=1):
-        if not np.all(np.isfinite(blk_cache["conv"])):
-            raise NumericError(f"non-finite activations in block {i}")
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite activations raise
+        probs, cache = cnn_forward(model, mels, mode="train")
     n = len(labels)
     if labels.min() < 0 or labels.max() >= model.n_classes:
         raise ParameterError("labels out of range for the model's class table")
@@ -364,16 +374,16 @@ def cnn_loss_and_grad(
     dgap = dlogits @ model.dense_w
     _, _, h, w = cache["gap_shape"]
     dx = np.broadcast_to(dgap[:, :, None, None], cache["gap_shape"]) / (h * w)
-    dx = np.ascontiguousarray(dx)
+    batch_stats = [(c["bn"]["mean"], c["bn"]["var"]) for c in cache["blocks"]]
     for i in range(len(model.blocks) - 1, -1, -1):
-        blk, blk_cache = model.blocks[i], cache["blocks"][i]
+        blk, blk_cache = model.blocks[i], cache["blocks"].pop()  # freed block by block
         if blk_cache["pool"] is not None:
             dx = maxpool2_backward(dx, blk_cache["pool"])
-        dx = dx * blk_cache["relu"]
+        # conv backward gives a transposed view; batchnorm reduces in the batch-first layout
+        dx = np.multiply(dx, blk_cache["relu"], out=np.empty(blk_cache["relu"].shape))
         dx, dgamma, dbeta = batchnorm_train_backward(dx, blk_cache["bn"])
-        dx, dw, db = _conv_backward(blk_cache["cols"], blk_cache["in_shape"], blk.w, dx)
+        dx, dw, db = _conv_backward(blk_cache["cols"], blk_cache["in_shape"], blk.w, dx, i > 0)
         grads["blocks"][i] = {"w": dw, "b": db, "gamma": dgamma, "beta": dbeta}
-    batch_stats = [(c["bn"]["mean"], c["bn"]["var"]) for c in cache["blocks"]]
     return loss, grads, batch_stats
 
 

@@ -24,7 +24,7 @@ from typing import IO, Iterable, Iterator
 import numpy as np
 from scipy.signal import lfilter, sosfilt, sosfiltfilt
 
-from .audio_io import DATASET_SAMPLE_RATE, AudioClip
+from .audio_io import DATASET_SAMPLE_RATE, AudioClip, read_utf8
 from .classify.data import TrainConfig
 from .errors import DataError, ParameterError, ProtocolError
 from .features import PRE_ONSET, WINDOW_LEN
@@ -475,7 +475,7 @@ def parse_config_file(path: str | Path) -> dict[str, int | float]:
     Values must be finite numbers, and integral for integer keys.
     """
     values: dict[str, int | float] = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(read_utf8(path, ParameterError).splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue

@@ -12,7 +12,7 @@ import struct
 
 import numpy as np
 
-from ttbounce.classify.cnn import BN_EPS, _grad_refs, _param_refs, cnn_loss_and_grad, maxpool2
+from ttbounce.classify.cnn import BN_EPS, _grad_refs, _param_refs, cnn_loss_and_grad
 
 
 def pcm16_wav_bytes(channels: list[np.ndarray], rate: int = 44100) -> bytes:
@@ -135,7 +135,8 @@ def gmm_scores_reference(priors, weights, means, variances, x: np.ndarray) -> np
 def im2col_reference(x: np.ndarray) -> np.ndarray:
     """3x3 same-padded patches of a batch-first (N, C, H, W) array as
     (C*9, N*H*W), rows (c, dy, dx), columns (n, h, w), copied out of one
-    strided view of the zero-padded array."""
+    strided view of the zero-padded array into a C-contiguous GEMM operand
+    (for 1x1 planes ``reshape`` alone would return a strided view)."""
     n, c, h, w = x.shape
     xp = np.zeros((n, c, h + 2, w + 2), dtype=x.dtype)
     xp[:, :, 1:-1, 1:-1] = x
@@ -143,14 +144,14 @@ def im2col_reference(x: np.ndarray) -> np.ndarray:
     view = np.lib.stride_tricks.as_strided(
         xp, shape=(c, 3, 3, n, h, w), strides=(s[1], s[2], s[3], s[0], s[2], s[3])
     )
-    return view.reshape(c * 9, n * h * w)
+    return np.ascontiguousarray(view.reshape(c * 9, n * h * w))
 
 
 def cnn_infer_reference(model, mels: np.ndarray) -> np.ndarray:
     """CNN inference in the batch-first (N, C, H, W) layout, block by block:
     conv as one GEMM on ``im2col_reference`` patches plus the bias,
     batchnorm on running statistics as one expression, ReLU as a mask
-    product, ``maxpool2``, global average pool, dense, softmax."""
+    product, ``maxpool2_reference``, global average pool, dense, softmax."""
     x = np.asarray(mels, dtype=np.float64)
     x = (x[None] if x.ndim == 2 else x)[:, None]
     col = lambda t: t[None, :, None, None]
@@ -163,7 +164,114 @@ def cnn_infer_reference(model, mels: np.ndarray) -> np.ndarray:
         x = col(blk.gamma) * (x - col(blk.running_mean)) * inv + col(blk.beta)
         x = x * (x > 0)
         if i in model.pools:
-            x = maxpool2(x)[0]
+            x = maxpool2_reference(x)[0]
     logits = x.mean(axis=(2, 3)) @ model.dense_w.T + model.dense_b
     e = np.exp(logits - logits.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
+
+
+def maxpool2_reference(x: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """2x2 max pooling (floor) of (N, C, H, W) by ``argmax`` over each window's four
+    entries in (0,0)..(1,1) order, so the first of tied maxima wins; returns the
+    output and the (indices, input shape) cache for ``maxpool2_backward_reference``."""
+    n, c, h, w = x.shape
+    h2, w2 = h // 2, w // 2
+    r = (
+        x[:, :, : 2 * h2, : 2 * w2]
+        .reshape(n, c, h2, 2, w2, 2)
+        .transpose(0, 1, 2, 4, 3, 5)
+        .reshape(n, c, h2, w2, 4)
+    )
+    idx = r.argmax(axis=-1)
+    out = np.take_along_axis(r, idx[..., None], axis=-1)[..., 0]
+    return out, (idx, x.shape)
+
+
+def maxpool2_backward_reference(dout: np.ndarray, cache: tuple) -> np.ndarray:
+    """Route each pooled gradient to its window's argmax entry; all else +0.0."""
+    idx, in_shape = cache
+    n, c, h, w = in_shape
+    h2, w2 = h // 2, w // 2
+    dr = np.zeros((n, c, h2, w2, 4), dtype=dout.dtype)
+    np.put_along_axis(dr, idx[..., None], dout[..., None], axis=-1)
+    dcrop = dr.reshape(n, c, h2, w2, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, 2 * h2, 2 * w2)
+    dx = np.zeros(in_shape, dtype=dout.dtype)
+    dx[:, :, : 2 * h2, : 2 * w2] = dcrop
+    return dx
+
+
+def conv_backward_reference(cols: np.ndarray, in_shape: tuple, w: np.ndarray, dout: np.ndarray):
+    """Input, weight and bias gradients of a same-padded 3x3 conv from its
+    ``im2col_reference`` patches: two GEMMs, then the patch gradients added back
+    through nine strided slices of a zero-padded (C, N, H+2, W+2) array."""
+    n, c, h, w_ = in_shape
+    f = w.shape[0]
+    dout_f = np.ascontiguousarray(dout.transpose(1, 0, 2, 3)).reshape(f, n * h * w_)
+    dw = (dout_f @ cols.T).reshape(w.shape)
+    dcols = (w.reshape(f, -1).T @ dout_f).reshape(c, 3, 3, n, h, w_)
+    dxp = np.zeros((c, n, h + 2, w_ + 2), dtype=dout.dtype)
+    for dy in range(3):
+        for dx in range(3):
+            dxp[:, :, dy : dy + h, dx : dx + w_] += dcols[:, dy, dx]
+    dx = np.ascontiguousarray(dxp[:, :, 1:-1, 1:-1].transpose(1, 0, 2, 3))
+    return dx, dw, dout.sum(axis=(0, 2, 3))
+
+
+def cnn_train_step_reference(model, mels: np.ndarray, labels: np.ndarray):
+    """``cnn_loss_and_grad`` written out in the batch-first (N, C, H, W) layout:
+    conv as one GEMM on ``im2col_reference`` patches, then a transposed copy plus
+    the bias; batchnorm on batch statistics from ``mean`` and ``var``; ReLU as a
+    mask product; ``maxpool2_reference``; global average pool, dense, softmax and
+    cross-entropy. The backward pass mirrors it, with ``conv_backward_reference``.
+    Returns (loss, grads, per-block (batch mean, batch variance))."""
+    axes = (0, 2, 3)
+    col = lambda t: t[None, :, None, None]
+    labels = np.asarray(labels)
+    x = np.asarray(mels, dtype=np.float64)[:, None]
+    caches = []
+    for i, blk in enumerate(model.blocks, start=1):
+        n, _, h, w = x.shape
+        f = blk.w.shape[0]
+        cols = im2col_reference(x)
+        conv = (blk.w.reshape(f, -1) @ cols).reshape(f, n, h, w)
+        conv = np.ascontiguousarray(conv.transpose(1, 0, 2, 3)) + col(blk.b)
+        mu = conv.mean(axis=axes, keepdims=True)
+        var = conv.var(axis=axes, keepdims=True)
+        inv = 1.0 / np.sqrt(var + BN_EPS)
+        xhat = (conv - mu) * inv
+        bn = col(blk.gamma) * xhat + col(blk.beta)
+        relu = bn > 0
+        y = bn * relu
+        pool = None
+        if i in model.pools:
+            y, pool = maxpool2_reference(y)
+        caches.append((x.shape, cols, xhat, inv, relu, pool, mu.ravel(), var.ravel()))
+        x = y
+    gap = x.mean(axis=(2, 3))
+    logits = gap @ model.dense_w.T + model.dense_b
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    probs = e / e.sum(axis=-1, keepdims=True)
+    rows = np.arange(len(labels))
+    loss = float(-np.mean(np.log(np.maximum(probs[rows, labels], 1e-300))))
+
+    dlogits = probs.copy()
+    dlogits[rows, labels] -= 1.0
+    dlogits /= len(labels)
+    grads = {"dense_w": dlogits.T @ gap, "dense_b": dlogits.sum(axis=0), "blocks": [None] * len(caches)}
+    _, _, h, w = x.shape
+    dx = np.ascontiguousarray(np.broadcast_to((dlogits @ model.dense_w)[:, :, None, None], x.shape) / (h * w))
+    for i in range(len(caches) - 1, -1, -1):
+        blk = model.blocks[i]
+        in_shape, cols, xhat, inv, relu, pool, _, _ = caches[i]
+        if pool is not None:
+            dx = maxpool2_backward_reference(dx, pool)
+        dx = dx * relu
+        dgamma = (dx * xhat).sum(axis=axes)
+        dbeta = dx.sum(axis=axes)
+        dxhat = dx * col(blk.gamma)
+        mean_dxhat = dxhat.mean(axis=axes, keepdims=True)
+        mean_dxhat_xhat = (dxhat * xhat).mean(axis=axes, keepdims=True)
+        dbn = inv * (dxhat - mean_dxhat - xhat * mean_dxhat_xhat)
+        dx, dw, db = conv_backward_reference(cols, in_shape, blk.w, dbn)
+        grads["blocks"][i] = {"w": dw, "b": db, "gamma": dgamma, "beta": dbeta}
+    return loss, grads, [(c[6], c[7]) for c in caches]

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -416,6 +417,44 @@ def test_numeric_failure_exits_4(monkeypatch, silence_wav, capsys):
     monkeypatch.setattr(cli, "cmd_detect", boom)  # bound when the parser is built
     assert main(["detect", str(silence_wav)]) == 4
     assert "block 3" in capsys.readouterr().err
+
+
+def test_overflowing_model_exits_4_with_one_error_line(click_wav, tmp_path, capsys):
+    from ttbounce.classify import new_cnn, save_model
+    from ttbounce.classify.cnn import finalize_float32
+
+    model = new_cnn(("a", "b"), "surface", seed=0, channels=(2,) * 6, pools=())
+    for blk in model.blocks:  # finite float32 tensors whose products overflow float64
+        blk.w[:] = 3e38
+        blk.gamma[:] = 3e38
+    path = tmp_path / "huge.ttsb"
+    save_model(finalize_float32(model), path)
+    argv = ["run", str(click_wav), "--surface-model", str(path), "--threshold-multiplier", "8",
+            "--gamma", "0.995"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning would raise here
+        assert main(argv) == 4
+    err = capsys.readouterr().err
+    assert [ln for ln in err.splitlines() if ln.startswith("error:")] == [
+        "error: CNN model gave non-finite scores"
+    ]
+    assert "Warning" not in err
+
+
+def test_non_utf8_config_exits_2_naming_file_and_offset(click_wav, tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_bytes(b"gamma=0.99\xff\n")
+    assert main(["detect", str(click_wav), "--config", str(cfg), "--out", str(tmp_path / "e.csv")]) == 2
+    assert f"error: {cfg}: not UTF-8 text (byte offset 10)" in capsys.readouterr().err
+
+
+def test_non_utf8_manifest_exits_2_naming_file_and_offset(click_wav, tmp_path, capsys):
+    raw = b"path,onset_ms,surface,spin\n" + click_wav.name.encode() + b",100,t\xc3ble,\n"
+    manifest = tmp_path / "m.csv"
+    manifest.write_bytes(raw)
+    assert main(["featurize", str(manifest), "--out", str(tmp_path / "f.ttfe")]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {manifest}: not UTF-8 text (byte offset {raw.index(0xC3)})" in err
 
 
 @pytest.mark.parametrize("line", ["filter.order=5.7", "train.epochs=2.5", "threshold_multiplier=nan", "gamma=x"])

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -104,6 +105,14 @@ def test_nan_activation_reports_block(rng):
     model.blocks[1].w[0, 0, 0, 0] = np.nan
     with pytest.raises(NumericError, match="block 2"):
         cnn_loss_and_grad(model, rng.standard_normal((2, 8, 6)), np.array([0, 1]))
+
+
+def test_overflowing_activations_raise_without_warnings(rng):
+    model = new_cnn(("a", "b"), "spin", seed=0, channels=(2, 2), pools=(), input_shape=(8, 6))
+    model.blocks[0].w[:] = 1e300
+    with pytest.raises(NumericError, match="block 1"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cnn_loss_and_grad(model, rng.standard_normal((2, 8, 6)) * 1e300, np.array([0, 1]))
 
 
 # --- layer-wise finite-difference checks -------------------------------------------

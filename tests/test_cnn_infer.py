@@ -2,14 +2,15 @@
 
 import copy
 import itertools
+import warnings
 
 import numpy as np
 import pytest
 
-from oracles import cnn_infer_reference, im2col_reference
+from oracles import cnn_infer_reference, im2col_reference, maxpool2_reference
 from ttbounce.classify import TrainConfig, assemble_task, cnn_train, load_model, mel_inputs, new_cnn, predict, save_model
 from ttbounce.classify import cnn
-from ttbounce.classify.cnn import _infer_operands, _patches, _pool2, finalize_float32, maxpool2, predict_cnn
+from ttbounce.classify.cnn import _infer_operands, _patches, _pool2, finalize_float32, predict_cnn
 from ttbounce.synth import two_band_records
 
 BATCHES = (1, 2, 7, 33)
@@ -95,7 +96,7 @@ def _ties(rng, shape):
 def test_pool_keeps_first_of_tied_zeros(rng, shape):
     x = _ties(rng, shape)
     x[..., ::3, 1::2] = rng.standard_normal(x[..., ::3, 1::2].shape)
-    got, want = _pool2(x), maxpool2(x)[0]
+    got, want = _pool2(x), maxpool2_reference(x)[0]
     assert np.array_equal(got, want)
     assert np.array_equal(np.signbit(got), np.signbit(want))
     assert np.signbit(want).any() and not np.signbit(want).all()
@@ -204,5 +205,6 @@ def test_predict_raises_numeric_error_on_overflow(rng):
     w = np.full_like(model.blocks[0].w, 3e38)  # finite, but the first conv overflows
     w.flags.writeable = False
     model.blocks[0].w = w
-    with pytest.raises(NumericError, match="non-finite"), np.errstate(over="ignore", invalid="ignore"):
+    with pytest.raises(NumericError, match="non-finite"), warnings.catch_warnings():
+        warnings.simplefilter("error")  # the overflow is rejected, not also warned about
         predict(model, np.full((2, 8, 6), 1e300))

@@ -22,7 +22,7 @@ from ttbounce.detect import (
     write_events_csv,
 )
 from ttbounce.errors import ParameterError, ProtocolError
-from ttbounce.synth import damped_tone, fixture_set, pink_noise
+from ttbounce.synth import click_fixture, damped_tone, fixture_set, pink_noise
 
 FS = 44100
 
@@ -444,3 +444,20 @@ def test_streaming_matches_batch_onsets_within_two_frames():
         ]
         assert len(batch) == len(stream)
         assert all(abs(b - s) <= bound for b, s in zip(batch, stream))
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_clicks=st.integers(1, 4),
+    noise_rms=st.floats(1e-4, 3e-3),
+    freq_hz=st.floats(6000.0, 18000.0),
+)
+def test_streaming_matches_batch_onsets_on_random_clips(seed, n_clicks, noise_rms, freq_hz):
+    """Clicks above and below the 10 kHz cutoff, at random places and loudness."""
+    fx = click_fixture(seed, n_clicks=n_clicks, noise_rms=noise_rms, freq_hz=freq_hz)
+    cfg, spec = DetectorConfig(), FilterSpec()
+    batch = [e.onset_sample for e in detect_bounces(fx.clip, cfg, spec)]
+    stream = [e.onset_sample for e in detect_streaming(stream_frames(fx.clip, cfg.frame_ms), cfg, spec)]
+    assert len(batch) == len(stream)
+    assert all(abs(b - s) <= 2 * 44 for b, s in zip(batch, stream))  # two 1 ms frames
