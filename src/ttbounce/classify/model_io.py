@@ -86,7 +86,7 @@ def load_model(path: str | Path) -> Model:
     family = _check_header(header, path)
     chunk, pos = _read_exact(raw, pos, 4, path)
     (n_tensors,) = struct.unpack("<I", chunk)
-    tensors: dict[str, np.ndarray] = {}
+    tensors: dict[str, tuple[tuple[int, ...], np.ndarray]] = {}
     for _ in range(n_tensors):
         chunk, pos = _read_exact(raw, pos, 2, path)
         (name_len,) = struct.unpack("<H", chunk)
@@ -98,7 +98,7 @@ def load_model(path: str | Path) -> Model:
         shape = struct.unpack(f"<{ndim}I", chunk)
         count = math.prod(shape)  # Python ints: a product of uint32 dims cannot wrap
         chunk, pos = _read_exact(raw, pos, 4 * count, path)
-        tensors[name] = np.frombuffer(chunk, dtype="<f4").reshape(shape)
+        tensors[name] = shape, np.frombuffer(chunk, dtype="<f4")  # reshaped once checked
     return _build_model(family, header, tensors, path)
 
 
@@ -133,11 +133,12 @@ def _build_model(family: ModelFamily, header: dict, tensors: dict, path: Path) -
     for name, (attr, shape) in family.layout(arch, len(classes)).items():
         if name not in tensors:
             raise FormatError(f"{path}: missing tensor {name!r}")
-        arr = tensors[name]
-        if arr.shape != shape:
+        stored, flat = tensors[name]
+        if stored != shape:
             raise FormatError(
-                f"{path}: tensor {name!r} has shape {arr.shape}, descriptor implies {shape}"
+                f"{path}: tensor {name!r} has shape {stored}, descriptor implies {shape}"
             )
+        arr = flat.reshape(shape)
         leaf = attr.rpartition(".")[2]
         if not np.isfinite(arr).all():
             raise FormatError(f"{path}: tensor {name!r} has non-finite entries")

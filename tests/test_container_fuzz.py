@@ -77,6 +77,17 @@ def test_tensor_dims_whose_product_wraps_int64_are_truncation(tmp_path):
         load_model(path)
 
 
+def test_tensor_with_more_dims_than_numpy_allows_is_format_error(tmp_path):
+    header = json.dumps({"kind": "svm", "task": "surface", "classes": ["a", "b"],
+                         "arch": {"n_features": 448}, "meta": {}}).encode()
+    dims = struct.pack("<B100I", 100, 0, *[1] * 99)  # no data to read, but 100 dims
+    raw = b"TTSB1" + struct.pack("<I", len(header)) + header + struct.pack("<IH", 1, 7) + b"weights" + dims
+    path = tmp_path / "dims.ttsb"
+    path.write_bytes(raw)
+    with pytest.raises(FormatError, match="'weights' has shape"):
+        load_model(path)
+
+
 def test_deeply_nested_header_is_format_error(tmp_path):
     header = b"[" * 100_000 + b"]" * 100_000
     path = tmp_path / "deep.ttsb"
