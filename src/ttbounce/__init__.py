@@ -20,8 +20,6 @@ from .audio_io import (
     write_wav,
 )
 from .detect import (
-    BiquadCascade,
-    BiquadSection,
     BounceEvent,
     DetectorConfig,
     FilterSpec,
@@ -29,9 +27,7 @@ from .detect import (
     design_butterworth_highpass,
     detect_bounces,
     detect_streaming,
-    ema_update,
     extract_window,
-    filter_forward,
     filter_zero_phase,
     frame_energy,
     stream_frames,
@@ -54,8 +50,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AudioClip",
-    "BiquadCascade",
-    "BiquadSection",
     "BounceEvent",
     "DATASET_SAMPLE_RATE",
     "DatasetManifest",
@@ -71,9 +65,7 @@ __all__ = [
     "design_butterworth_highpass",
     "detect_bounces",
     "detect_streaming",
-    "ema_update",
     "extract_window",
-    "filter_forward",
     "filter_zero_phase",
     "frame_energy",
     "hz_to_mel",

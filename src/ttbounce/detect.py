@@ -3,8 +3,10 @@
 Stage one of the pipeline: high-pass the signal (ball impacts carry energy
 around 11 kHz, speech does not), track 1 ms frame energies against an
 exponentially decaying average, and emit an event whenever a frame jumps a
-configurable multiple above that noise floor. Batch mode filters zero-phase
-for the best temporal accuracy; streaming mode filters causally.
+configurable multiple above that noise floor. Both modes filter causally,
+with the same filter and the same threshold arithmetic, so batch detection
+returns exactly the events of streaming the clip frame by frame. A causal
+filter cannot ring ahead of an impact, so onsets are not early.
 
 Streaming mode steps the average one frame at a time. Batch mode has all
 frame energies up front, so it runs the average as the first-order IIR
@@ -22,7 +24,7 @@ from pathlib import Path
 from typing import IO, Iterable, Iterator
 
 import numpy as np
-from scipy.signal import lfilter, sosfilt, sosfiltfilt
+from scipy.signal import butter, lfilter, sosfilt, sosfiltfilt
 
 from .audio_io import DATASET_SAMPLE_RATE, AudioClip, read_utf8
 from .classify.data import TrainConfig
@@ -47,110 +49,36 @@ class FilterSpec:
             )
 
 
-@dataclass(frozen=True)
-class BiquadSection:
-    """One second-order section; first-order sections set b2 = a2 = 0."""
+def design_butterworth_highpass(spec: FilterSpec) -> np.ndarray:
+    """The digital Butterworth high-pass as second-order sections (scipy ``sos``).
 
-    b0: float
-    b1: float
-    b2: float
-    a1: float
-    a2: float
-
-    def __post_init__(self) -> None:
-        # Stability triangle: both poles strictly inside the unit circle.
-        if not (abs(self.a2) < 1.0 and abs(self.a1) < 1.0 + self.a2):
-            raise ParameterError(
-                f"unstable section: a1={self.a1}, a2={self.a2} outside the stability triangle"
-            )
-
-
-@dataclass(frozen=True)
-class BiquadCascade:
-    sections: tuple[BiquadSection, ...]
-    gain: float
-    sample_rate: int
-
-    @property
-    def order(self) -> int:
-        return sum(1 if (s.a2 == 0.0 and s.b2 == 0.0) else 2 for s in self.sections)
-
-    def sos(self) -> np.ndarray:
-        """Coefficient array in (b0, b1, b2, 1, a1, a2) rows, gain folded into row 0."""
-        rows = np.array(
-            [[s.b0, s.b1, s.b2, 1.0, s.a1, s.a2] for s in self.sections], dtype=np.float64
-        )
-        rows[0, :3] *= self.gain
-        return rows
-
-    def response(self, freqs_hz: np.ndarray | float) -> np.ndarray:
-        """Complex frequency response H(e^{j 2 pi f / fs}) at the given frequencies."""
-        f = np.atleast_1d(np.asarray(freqs_hz, dtype=np.float64))
-        z1 = np.exp(-2j * np.pi * f / self.sample_rate)
-        h = np.full(f.shape, self.gain, dtype=np.complex128)
-        for s in self.sections:
-            h *= (s.b0 + s.b1 * z1 + s.b2 * z1 * z1) / (1.0 + s.a1 * z1 + s.a2 * z1 * z1)
-        return h
-
-
-def design_butterworth_highpass(spec: FilterSpec) -> BiquadCascade:
-    """Design a digital Butterworth high-pass as a cascade of biquads.
-
-    Analog prototype poles are high-pass transformed at the pre-warped
-    cutoff and mapped by the bilinear transform, so the -3.01 dB point
-    lands exactly on ``cutoff_hz``. Odd orders yield one first-order
-    section. Gain is normalized to unity at Nyquist.
+    The bilinear transform is pre-warped, so the -3.01 dB point lands
+    exactly on ``cutoff_hz``.
     """
     spec.validate()
-    n = spec.order
-    fs = float(spec.sample_rate)
-    # Pre-warped analog cutoff for the bilinear transform with c = 2 fs.
-    wc = 2.0 * fs * math.tan(math.pi * spec.cutoff_hz / fs)
-
-    # Normalized lowpass prototype poles on the left unit semicircle.
-    k = np.arange(n)
-    proto = np.exp(1j * math.pi * (2.0 * k + n + 1.0) / (2.0 * n))
-    analog_poles = wc / proto  # lowpass -> highpass: s -> wc / s
-    digital_poles = (2.0 * fs + analog_poles) / (2.0 * fs - analog_poles)
-
-    # n analog zeros at s = 0 all map to z = +1.
-    sections: list[BiquadSection] = []
-    complex_poles = [p for p in digital_poles if p.imag > 1e-12]
-    real_poles = [p.real for p in digital_poles if abs(p.imag) <= 1e-12]
-    for p in complex_poles:
-        sections.append(BiquadSection(1.0, -2.0, 1.0, -2.0 * p.real, abs(p) ** 2))
-    for r in real_poles:
-        sections.append(BiquadSection(1.0, -1.0, 0.0, -r, 0.0))
-
-    # Unity gain at Nyquist (z = -1).
-    h_nyq = 1.0 + 0.0j
-    for s in sections:
-        h_nyq *= (s.b0 - s.b1 + s.b2) / (1.0 - s.a1 + s.a2)
-    gain = 1.0 / h_nyq.real
-    return BiquadCascade(sections=tuple(sections), gain=gain, sample_rate=spec.sample_rate)
+    return butter(spec.order, spec.cutoff_hz, "highpass", fs=spec.sample_rate, output="sos")
 
 
-def filter_forward(cascade: BiquadCascade, clip: AudioClip) -> AudioClip:
-    """Single causal pass through the cascade (direct-form II transposed)."""
-    y = sosfilt(cascade.sos(), clip.samples)
-    return AudioClip(samples=y, sample_rate=clip.sample_rate)
-
-
-def filter_zero_phase(cascade: BiquadCascade, clip: AudioClip) -> AudioClip:
+def filter_zero_phase(sos: np.ndarray, clip: AudioClip) -> AudioClip:
     """Forward-backward filtering: zero net phase, squared magnitude response.
 
     Edges are padded with an odd reflection of length 3 * (2 * order)
     before filtering and trimmed afterwards; each pass starts from the
     steady-state initial conditions of its first sample so edge
     transients cancel.
+
+    No pipeline path calls this; perfbench still times it as a layer.
+    Detection filters causally, because the backward pass rings ahead of
+    each transient and made onsets early.
     """
-    padlen = 3 * (2 * cascade.order)
+    order = 2 * len(sos) - int(np.count_nonzero(sos[:, 5] == 0.0))  # a2 = 0: one pole
+    padlen = 3 * (2 * order)
     x = clip.samples
     if x.size <= padlen:
         raise ParameterError(
             f"clip too short for zero-phase filtering: {x.size} samples <= pad {padlen}"
         )
-    y = sosfiltfilt(cascade.sos(), x, padtype="odd", padlen=padlen)
+    y = sosfiltfilt(sos, x, padtype="odd", padlen=padlen)
     return AudioClip(samples=y, sample_rate=clip.sample_rate)
 
 
@@ -178,13 +106,6 @@ def _frame_energy_array(x: np.ndarray, length: int) -> np.ndarray:
         return np.zeros(0)
     trimmed = x[: n_frames * length]
     return np.mean(np.square(trimmed).reshape(n_frames, length), axis=1)
-
-
-def ema_update(avg: float, e: float, gamma: float) -> float:
-    """One step of the decaying noise-floor average: gamma*avg + (1-gamma)*e."""
-    if not 0.0 < gamma < 1.0:
-        raise ParameterError(f"gamma must lie in (0, 1), got {gamma}")
-    return gamma * avg + (1.0 - gamma) * e
 
 
 @dataclass(frozen=True)
@@ -247,7 +168,7 @@ class _EnergyScanner:
         floor_avg = max(self.avg, cfg.ema_floor)
         if energy > cfg.threshold_multiplier * floor_avg:
             return self._trigger(k, energy, frame, floor_avg)
-        gamma = cfg.gamma  # validated in __init__; same expression as ema_update
+        gamma = cfg.gamma  # validated in __init__
         self.avg = gamma * self.avg + (1.0 - gamma) * energy
         return None
 
@@ -320,17 +241,18 @@ class _EnergyScanner:
 def detect_bounces(
     clip: AudioClip, config: DetectorConfig, filter_spec: FilterSpec
 ) -> list[BounceEvent]:
-    """Detect bounce onsets in a recording (batch mode, zero-phase filtering).
+    """Detect bounce onsets in a recording (batch mode).
 
-    Onsets index into the unfiltered signal and are refined to the first
+    One causal pass of the high-pass over the whole clip, then the scan:
+    the events equal those of ``detect_streaming`` on the same clip. Onsets
+    index into the unfiltered signal and are refined to the first
     threshold-crossing sample inside the triggering frame.
     """
     if clip.sample_rate != filter_spec.sample_rate:
         raise ParameterError(
             f"clip rate {clip.sample_rate} != filter design rate {filter_spec.sample_rate}"
         )
-    cascade = design_butterworth_highpass(filter_spec)
-    filtered = filter_zero_phase(cascade, clip).samples
+    filtered = sosfilt(design_butterworth_highpass(filter_spec), clip.samples)
     scanner = _EnergyScanner(config, clip.sample_rate)
     return scanner.scan(_frame_energy_array(filtered, scanner.length), filtered)
 
@@ -338,16 +260,15 @@ def detect_bounces(
 class StreamingDetector:
     """Stateful one-stream detector over fixed-length frames.
 
-    Filtering is causal (zero-phase needs future samples), so onsets carry
-    the filter's small group delay. An event for a frame is returned by the
-    same ``process_frame`` call that saw the frame. Instances are
-    single-stream: never share one across concurrent streams.
+    The filter carries its state from frame to frame, so the frames see the
+    one causal pass that batch detection runs over a whole clip. An event
+    for a frame is returned by the same ``process_frame`` call that saw the
+    frame. Instances are single-stream: never share one across concurrent
+    streams.
     """
 
     def __init__(self, config: DetectorConfig, filter_spec: FilterSpec):
-        filter_spec.validate()
-        self.cascade = design_butterworth_highpass(filter_spec)
-        self._sos = self.cascade.sos()
+        self._sos = design_butterworth_highpass(filter_spec)
         self._zi = np.zeros((self._sos.shape[0], 2))
         self.scanner = _EnergyScanner(config, filter_spec.sample_rate)
         self.next_frame = 0

@@ -14,7 +14,7 @@ import numpy as np
 
 from .audio_io import AudioClip, SurfaceClass, mix_noise
 from .classify import Model, features_for_model, predict
-from .detect import BounceEvent, DetectorConfig, FilterSpec, detect_bounces, extract_window
+from .detect import DetectorConfig, FilterSpec, detect_bounces, extract_window
 from .errors import DataError, ParameterError
 from .features import log_mel
 from .synth import DetectionFixture
@@ -72,7 +72,7 @@ class DetectionScore:
 
 
 def _onsets_s(events) -> list[float]:
-    return [e.onset_s if isinstance(e, BounceEvent) else float(e) for e in events]
+    return [float(getattr(e, "onset_s", e)) for e in events]
 
 
 def match_events(predicted, truth, tolerance_ms: float = 5.0) -> DetectionScore:

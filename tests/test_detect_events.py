@@ -10,7 +10,6 @@ from ttbounce import (
     StreamingDetector,
     detect_bounces,
     detect_streaming,
-    ema_update,
     extract_window,
     frame_energy,
     stream_frames,
@@ -22,9 +21,15 @@ from ttbounce.detect import (
     write_events_csv,
 )
 from ttbounce.errors import ParameterError, ProtocolError
+from ttbounce.evaluate import run_detection_benchmark
 from ttbounce.synth import click_fixture, damped_tone, fixture_set, pink_noise
 
 FS = 44100
+
+
+@pytest.fixture(scope="module")
+def detection_fixtures():
+    return fixture_set(50, seed=7)
 
 
 # --- frame energy ---------------------------------------------------------------
@@ -58,17 +63,32 @@ def test_subsample_frame_rejected():
 
 
 # --- EMA -------------------------------------------------------------------------
+# The average as ``_EnergyScanner.step`` updates it, over energies that stay
+# below the threshold (100 x a floor of at least 1, against energies <= 10).
+
+
+def _ema_scanner(gamma: float, avg0: float):
+    from ttbounce.detect import _EnergyScanner
+
+    cfg = DetectorConfig(gamma=gamma, threshold_multiplier=100.0, ema_floor=1.0)
+    scanner = _EnergyScanner(cfg, FS)
+    scanner.avg = avg0
+    return scanner
+
+
+def _ema_steps(scanner, e: float, k: int) -> float:
+    frame = np.zeros(scanner.length)
+    for i in range(k):
+        assert scanner.step(i, e, frame) is None
+    return scanner.avg
 
 
 def test_ema_single_step():
-    assert ema_update(0.0, 1.0, 0.9) == pytest.approx(0.1, abs=1e-15)
+    assert _ema_steps(_ema_scanner(0.9, 0.0), 1.0, 1) == pytest.approx(0.1, abs=1e-15)
 
 
 def test_ema_converges_to_constant_input():
-    avg = 5.0
-    for _ in range(5000):
-        avg = ema_update(avg, 2.0, 0.9)
-    assert avg == pytest.approx(2.0, abs=1e-12)
+    assert _ema_steps(_ema_scanner(0.9, 5.0), 2.0, 5000) == pytest.approx(2.0, abs=1e-12)
 
 
 @given(
@@ -78,9 +98,7 @@ def test_ema_converges_to_constant_input():
     st.integers(min_value=1, max_value=200),
 )
 def test_ema_closed_form(gamma, avg0, e, k):
-    avg = avg0
-    for _ in range(k):
-        avg = ema_update(avg, e, gamma)
+    avg = _ema_steps(_ema_scanner(gamma, avg0), e, k)
     # Oracle: closed form of the recursion.
     expected = gamma**k * avg0 + (1 - gamma**k) * e
     assert avg == pytest.approx(expected, abs=1e-12)
@@ -88,7 +106,7 @@ def test_ema_closed_form(gamma, avg0, e, k):
 
 def test_ema_rejects_bad_gamma():
     with pytest.raises(ParameterError):
-        ema_update(0.0, 1.0, 1.0)
+        _ema_scanner(1.0, 0.0)
 
 
 # --- batch detection ---------------------------------------------------------------
@@ -208,14 +226,6 @@ def test_streaming_click_onset_within_1_5_ms():
     events = list(detect_streaming(stream_frames(clip, 1.0), DetectorConfig(), FilterSpec()))
     assert len(events) == 1
     assert abs(events[0].onset_s - 0.5) <= 1.5e-3
-
-
-def test_streaming_matches_batch_event_counts():
-    cfg, spec = DetectorConfig(), FilterSpec()
-    for fx in fixture_set(50, seed=7):
-        batch = detect_bounces(fx.clip, cfg, spec)
-        stream = list(detect_streaming(stream_frames(fx.clip, cfg.frame_ms), cfg, spec))
-        assert len(batch) == len(stream)
 
 
 def test_streaming_event_emitted_in_triggering_frame():
@@ -421,29 +431,17 @@ def test_batch_detection_makes_no_per_frame_step(monkeypatch):
     assert len(detect_bounces(fx.clip, DetectorConfig(), FilterSpec())) == 3
 
 
-def test_streaming_step_does_not_revalidate_gamma(monkeypatch):
-    import ttbounce.detect as detect
-
-    def no_ema(*_):
-        raise AssertionError("streaming step called ema_update")
-
-    monkeypatch.setattr(detect, "ema_update", no_ema)
-    clip = _click_clip(22050, noise_rms=5e-4)
-    events = list(detect_streaming(stream_frames(clip, 1.0), DetectorConfig(), FilterSpec()))
-    assert len(events) == 1
-
-
-def test_streaming_matches_batch_onsets_within_two_frames():
+def test_streaming_equals_batch_events_on_fixtures(detection_fixtures):
     cfg, spec = DetectorConfig(), FilterSpec()
-    bound = 2 * 44  # two 1 ms frames at 44.1 kHz
-    for fx in fixture_set(50, seed=7):
-        batch = [e.onset_sample for e in detect_bounces(fx.clip, cfg, spec)]
-        stream = [
-            e.onset_sample
-            for e in detect_streaming(stream_frames(fx.clip, cfg.frame_ms), cfg, spec)
-        ]
-        assert len(batch) == len(stream)
-        assert all(abs(b - s) <= bound for b, s in zip(batch, stream))
+    for fx in detection_fixtures:
+        stream = list(detect_streaming(stream_frames(fx.clip, cfg.frame_ms), cfg, spec))
+        assert detect_bounces(fx.clip, cfg, spec) == stream
+
+
+def test_mean_onset_error_within_a_tenth_of_a_ms(detection_fixtures):
+    score = run_detection_benchmark(detection_fixtures, DetectorConfig(), FilterSpec())
+    assert score.recall == 1.0 and score.precision == 1.0
+    assert score.mean_abs_onset_error_ms <= 0.1
 
 
 @settings(max_examples=50, deadline=None)
@@ -453,11 +451,9 @@ def test_streaming_matches_batch_onsets_within_two_frames():
     noise_rms=st.floats(1e-4, 3e-3),
     freq_hz=st.floats(6000.0, 18000.0),
 )
-def test_streaming_matches_batch_onsets_on_random_clips(seed, n_clicks, noise_rms, freq_hz):
+def test_streaming_equals_batch_events_on_random_clips(seed, n_clicks, noise_rms, freq_hz):
     """Clicks above and below the 10 kHz cutoff, at random places and loudness."""
     fx = click_fixture(seed, n_clicks=n_clicks, noise_rms=noise_rms, freq_hz=freq_hz)
     cfg, spec = DetectorConfig(), FilterSpec()
-    batch = [e.onset_sample for e in detect_bounces(fx.clip, cfg, spec)]
-    stream = [e.onset_sample for e in detect_streaming(stream_frames(fx.clip, cfg.frame_ms), cfg, spec)]
-    assert len(batch) == len(stream)
-    assert all(abs(b - s) <= 2 * 44 for b, s in zip(batch, stream))  # two 1 ms frames
+    stream = list(detect_streaming(stream_frames(fx.clip, cfg.frame_ms), cfg, spec))
+    assert detect_bounces(fx.clip, cfg, spec) == stream

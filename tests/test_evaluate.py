@@ -246,3 +246,11 @@ def test_spin_predicted_only_for_racket_surfaces(rng):
         assert events[0].spin in ("back", "flat", "top")
     else:
         assert events[0].spin is None
+
+
+def test_match_events_scores_end_to_end_annotations(tiny_surface_model):
+    fx = fixture_set(1, seed=3, n_clicks=4)[0]
+    annotated = end_to_end(fx.clip, DetectorConfig(), FilterSpec(), tiny_surface_model)
+    score = match_events(annotated, fx.onsets_s)
+    assert (score.matched, score.missed, score.spurious) == (4, 0, 0)
+    assert match_events(annotated, annotated).onset_errors_ms == (0.0,) * 4
