@@ -29,18 +29,14 @@ from .detect import (
     detect_streaming,
     extract_window,
     filter_zero_phase,
-    frame_energy,
     stream_frames,
 )
 from .features import (
     FeatureRecord,
-    MelSpectrogram,
     hz_to_mel,
     log_mel,
     mel_filterbank,
-    mel_spectrogram,
     mel_to_hz,
-    mfcc,
     read_feature_file,
     stft,
     write_feature_file,
@@ -57,7 +53,6 @@ __all__ = [
     "FeatureRecord",
     "FilterSpec",
     "ManifestEntry",
-    "MelSpectrogram",
     "MixResult",
     "SpinClass",
     "StreamingDetector",
@@ -67,15 +62,12 @@ __all__ = [
     "detect_streaming",
     "extract_window",
     "filter_zero_phase",
-    "frame_energy",
     "hz_to_mel",
     "load_manifest",
     "load_wav",
     "log_mel",
     "mel_filterbank",
-    "mel_spectrogram",
     "mel_to_hz",
-    "mfcc",
     "mix_noise",
     "read_feature_file",
     "stft",

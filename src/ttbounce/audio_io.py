@@ -106,19 +106,6 @@ class DatasetManifest:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def surface_counts(self) -> dict[SurfaceClass, int]:
-        counts = {s: 0 for s in SurfaceClass}
-        for e in self.entries:
-            counts[e.surface] += 1
-        return counts
-
-    def spin_counts(self) -> dict[SpinClass, int]:
-        counts = {s: 0 for s in SpinClass}
-        for e in self.entries:
-            if e.spin is not None:
-                counts[e.spin] += 1
-        return counts
-
 
 # --- WAV container -----------------------------------------------------------
 

@@ -20,7 +20,6 @@ from ..errors import NumericError, ParameterError
 from ..features import FeatureRecord
 from .cnn import (
     CnnModel,
-    cnn_forward,
     cnn_loss_and_grad,
     cnn_train,
     new_cnn,
@@ -53,7 +52,6 @@ __all__ = [
     "TrainConfig",
     "METHODS",
     "assemble_task",
-    "cnn_forward",
     "cnn_loss_and_grad",
     "cnn_train",
     "features_for_model",

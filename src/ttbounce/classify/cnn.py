@@ -157,10 +157,6 @@ def _conv_forward(
     return np.add(out.transpose(1, 0, 2, 3), b[None, :, None, None], out=y), cols
 
 
-def conv2d_same(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return _conv_forward(x, w, b)[0]
-
-
 def _conv_backward(
     cols: np.ndarray, in_shape: tuple, w: np.ndarray, dout: np.ndarray, input_grad: bool = True
 ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
@@ -185,12 +181,6 @@ def _conv_backward(
         dxq[:, :, at : at + h * wd] += rows[:, k]
     dx = dxq[:, :, wd + 1 : wd + 1 + h * wd].reshape(c, n, h, wd).transpose(1, 0, 2, 3)
     return dx, dw, dout.sum(axis=(0, 2, 3))
-
-
-def conv2d_same_backward(
-    x: np.ndarray, w: np.ndarray, dout: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    return _conv_backward(_patches(x.transpose(1, 0, 2, 3)), x.shape, w, dout)
 
 
 def batchnorm_train(
@@ -277,20 +267,11 @@ def _as_batch(mels: np.ndarray, input_shape: tuple[int, int]) -> np.ndarray:
     return x[:, None]  # add the channel axis
 
 
-def cnn_forward(model: CnnModel, mels: np.ndarray, mode: str = "infer"):
-    """Class probabilities for a batch of (or a single) mel matrix.
-
-    In ``train`` mode batch statistics are used for normalization and a
-    cache of intermediate activations is returned alongside the output.
-    Inference uses running statistics and is a pure function.
-    """
-    if mode not in ("train", "infer"):
-        raise ParameterError(f"mode must be 'train' or 'infer', got {mode!r}")
+def _train_forward(model: CnnModel, mels: np.ndarray) -> tuple[np.ndarray, dict]:
+    """Probabilities under batch statistics, and the activations backprop needs."""
     x = _as_batch(mels, model.input_shape)
-    if mode == "infer":
-        return _infer(model, x.transpose(1, 0, 2, 3))
     if x.shape[0] < 2:
-        raise ParameterError("train mode needs a batch of at least 2 (batch statistics)")
+        raise ParameterError("training needs a batch of at least 2 (batch statistics)")
     cache: list[dict] = []
     for i, blk in enumerate(model.blocks, start=1):
         in_shape = x.shape
@@ -359,7 +340,7 @@ def cnn_loss_and_grad(
     """
     labels = np.asarray(labels)
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite activations raise
-        probs, cache = cnn_forward(model, mels, mode="train")
+        probs, cache = _train_forward(model, mels)
     n = len(labels)
     if labels.min() < 0 or labels.max() >= model.n_classes:
         raise ParameterError("labels out of range for the model's class table")
@@ -483,7 +464,7 @@ def cnn_train(
                     RUNNING_MOMENTUM * blk.running_var + (1 - RUNNING_MOMENTUM) * var
                 )
             batch_losses.append(loss)
-        val_probs = cnn_forward(model, mels[val_idx], mode="infer")
+        val_probs = predict_cnn(model, mels[val_idx])
         val_loss = cross_entropy(val_probs, labels[val_idx])
         val_acc = float(np.mean(val_probs.argmax(axis=1) == labels[val_idx]))
         log.append(
@@ -507,8 +488,9 @@ def cnn_train(
 
 
 def predict_cnn(model: CnnModel, mels: np.ndarray) -> np.ndarray:
-    """Probability vectors (N, n_classes) in inference mode."""
-    return cnn_forward(model, mels, mode="infer")
+    """Probabilities (N, n_classes) for a batch of (or a single) mel matrix, under
+    the running statistics; a pure function of the model and the input."""
+    return _infer(model, _as_batch(mels, model.input_shape).transpose(1, 0, 2, 3))
 
 
 # --- Family record ------------------------------------------------------------

@@ -4,15 +4,18 @@ Subcommands mirror the pipeline stages so each is independently
 scriptable: detect, featurize, train, eval, run, mix, grid-search.
 Configuration precedence is defaults, then --config file, then flags;
 the effective configuration is printed to stderr and saved beside any
---out artifact. Exit codes: 0 success, 2 usage/input error, 3
-data/format error, 4 numeric failure.
+--out artifact. The config keys live here, in ``CONFIG_TABLE``. Exit
+codes: 0 success, 2 usage/input error, 3 data/format error or out of
+memory, 4 numeric failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +26,7 @@ from .audio_io import (
     load_manifest,
     load_wav,
     mix_noise,
+    read_utf8,
     write_wav,
 )
 from .classify import (
@@ -50,17 +54,113 @@ from .features import FeatureRecord, log_mel, read_feature_file, write_feature_f
 from .synth import DetectionFixture
 
 
-def _effective_config(args: argparse.Namespace, extra: dict | None = None) -> dict:
-    det.build_configs(args.values, DATASET_SAMPLE_RATE)  # validates detector keys everywhere
-    defaults = {name: det.CONFIG_TABLE[name].default for name in det.CONFIG_KEYS}
-    return {**defaults, **args.values, "seed": args.seed, **(extra or {})}
+# --- Configuration ---------------------------------------------------------------
 
 
-def _emit_config(eff: dict, out: str | None) -> None:
+@dataclass(frozen=True)
+class ConfigKey:
+    """A --config key, the dataclass field it sets (giving its type and default), its flag."""
+
+    name: str
+    owner: type
+    flag: str | None = None
+
+    @property
+    def field(self) -> str:
+        return self.name.rpartition(".")[2]
+
+    @property
+    def default(self) -> int | float:
+        return getattr(self.owner, self.field)
+
+    @property
+    def type(self) -> type:
+        return type(self.default)
+
+    def number(self, raw: str) -> int | float:
+        """Parse a file or flag value; ValueError unless finite, and integral for an int key."""
+        try:
+            value = float(raw)
+        except ValueError:
+            value = math.nan  # reported below like any other non-finite value
+        if not math.isfinite(value) or (self.type is int and not value.is_integer()):
+            raise ValueError(f"{self.name} takes a finite {self.type.__name__}, got {raw!r}")
+        return self.type(value)
+
+
+# Every key a --config file may set. The train.* keys configure the
+# classifier trainer; they share the file so one config drives a whole run.
+CONFIG_TABLE = {
+    k.name: k
+    for k in (
+        ConfigKey("frame_ms", det.DetectorConfig),
+        ConfigKey("gamma", det.DetectorConfig, "--gamma"),
+        ConfigKey("threshold_multiplier", det.DetectorConfig, "--threshold-multiplier"),
+        ConfigKey("refractory_ms", det.DetectorConfig, "--refractory-ms"),
+        ConfigKey("ema_floor", det.DetectorConfig),
+        ConfigKey("filter.order", det.FilterSpec),
+        ConfigKey("filter.cutoff_hz", det.FilterSpec, "--cutoff-hz"),
+        ConfigKey("train.epochs", TrainConfig, "--epochs"),
+        ConfigKey("train.batch_size", TrainConfig, "--batch-size"),
+        ConfigKey("train.learning_rate", TrainConfig, "--learning-rate"),
+        ConfigKey("train.patience", TrainConfig),
+    )
+}
+
+
+def parse_config_file(path: str | Path) -> dict[str, int | float]:
+    """Read a flat key=value config file.
+
+    Only the keys of ``CONFIG_TABLE`` are accepted; '#' starts a comment.
+    Values must be finite numbers, and integral for integer keys.
+    """
+    values: dict[str, int | float] = {}
+    for lineno, line in enumerate(read_utf8(path, ParameterError).splitlines(), 1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ParameterError(f"{path}:{lineno}: expected key=value, got {line!r}")
+        key, _, raw = line.partition("=")
+        key, raw = key.strip(), raw.strip()
+        if key not in CONFIG_TABLE:
+            raise ParameterError(f"{path}:{lineno}: unknown config key {key!r}")
+        try:
+            values[key] = CONFIG_TABLE[key].number(raw)
+        except ValueError as exc:
+            raise ParameterError(f"{path}:{lineno}: {exc}") from None
+    return values
+
+
+def config_from(owner: type, values: dict[str, int | float], **fixed):
+    """Build ``owner`` from the table keys it owns; absent keys keep their default."""
+    own = {k.field: values[n] for n, k in CONFIG_TABLE.items() if k.owner is owner and n in values}
+    return owner(**own, **fixed)
+
+
+def _settings(*configs) -> dict:
+    """Each table key the configs' types own, with the value the config holds."""
+    return {
+        n: getattr(c, k.field) for c in configs for n, k in CONFIG_TABLE.items() if k.owner is type(c)
+    }
+
+
+def _configure(
+    args: argparse.Namespace, sample_rate: int = DATASET_SAMPLE_RATE, extra: dict | None = None
+) -> tuple[det.DetectorConfig, det.FilterSpec]:
+    """The detector configs, validated once at the command's audio rate (the dataset
+    rate if it reads none); then the effective configuration goes to stderr and
+    beside any --out file."""
+    config = config_from(det.DetectorConfig, args.values)
+    spec = config_from(det.FilterSpec, args.values, sample_rate=sample_rate)
+    config.validate(sample_rate)
+    spec.validate()
+    eff = {**_settings(config, spec), **args.values, "seed": args.seed, **(extra or {})}
     text = "".join(f"{k}={v}\n" for k, v in sorted(eff.items()))
     sys.stderr.write("# effective configuration\n" + text)
-    if out:
-        Path(str(out) + ".config").write_text(text, encoding="utf-8")
+    if args.out:
+        Path(str(args.out) + ".config").write_text(text, encoding="utf-8")
+    return config, spec
 
 
 def _write_or_print(text: str, out: str | None) -> None:
@@ -75,8 +175,7 @@ def _write_or_print(text: str, out: str | None) -> None:
 
 def cmd_detect(args: argparse.Namespace) -> int:
     clip = load_wav(args.audio)
-    config, spec = det.build_configs(args.values, clip.sample_rate)
-    _emit_config(_effective_config(args), args.out)
+    config, spec = _configure(args, clip.sample_rate)
     events = det.detect_bounces(clip, config, spec)
     import io
 
@@ -88,7 +187,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
 
 def cmd_featurize(args: argparse.Namespace) -> int:
     manifest = load_manifest(args.manifest)
-    _emit_config(_effective_config(args), args.out)
+    _configure(args)
     # Rows grouped by file, so each file is decoded once and dropped after
     # its rows; records keep the manifest's row order.
     rows: dict[Path, list[int]] = {}
@@ -121,15 +220,9 @@ def cmd_train(args: argparse.Namespace) -> int:
     records = read_feature_file(args.features)
     # Epochs default per method; every other setting is flag, then file, then default.
     values = {"train.epochs": FAMILIES[args.method].default_epochs, **args.values}
-    config = det.config_from(TrainConfig, values, seed=args.seed, task=args.task)
+    config = config_from(TrainConfig, values, seed=args.seed, task=args.task)
     config.validate()
-    resolved = {
-        name: getattr(config, key.field)
-        for name, key in det.CONFIG_TABLE.items()
-        if key.owner is TrainConfig
-    }
-    extra = {"task": args.task, "method": args.method, **resolved}
-    _emit_config(_effective_config(args, extra), args.out)
+    _configure(args, extra={"task": args.task, "method": args.method, **_settings(config)})
     model, log = train_task_model(records, args.method, config, svm_epochs=config.epochs)
     model.meta = {
         "seed": args.seed,
@@ -151,7 +244,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     model = load_model(args.model)
     records = read_feature_file(args.features)
-    _emit_config(_effective_config(args), args.out)
+    _configure(args)
     ds = assemble_task(records, model.task)
     indices = np.arange(len(ds))
     trained_on_this = model.meta.get("train_fingerprint") == _fingerprint(args.features)
@@ -175,12 +268,19 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
+def _load_task_model(path: str, task: str):
+    """Load a ``run`` model, refusing one trained for the other task."""
+    model = load_model(path)
+    if model.task != task:
+        raise ParameterError(f"--{task}-model {path}: a {model.task} model, not a {task} model")
+    return model
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     clip = load_wav(args.audio)
-    surface_model = load_model(args.surface_model)
-    spin_model = load_model(args.spin_model) if args.spin_model else None
-    config, spec = det.build_configs(args.values, clip.sample_rate)
-    _emit_config(_effective_config(args), args.out)
+    surface_model = _load_task_model(args.surface_model, "surface")
+    spin_model = _load_task_model(args.spin_model, "spin") if args.spin_model else None
+    config, spec = _configure(args, clip.sample_rate)
     events = end_to_end(clip, config, spec, surface_model, spin_model)
     lines = ["onset_sample,onset_s,surface,spin,surface_score,spin_score"]
     for ev in events:
@@ -197,7 +297,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_mix(args: argparse.Namespace) -> int:
     signal = load_wav(args.signal)
     noise = load_wav(args.noise)
-    _emit_config(_effective_config(args, {"snr_db": args.snr_db}), args.out)
+    _configure(args, extra={"snr_db": args.snr_db})
     result = mix_noise(signal, noise, args.snr_db)
     write_wav(args.out, result.clip)
     sys.stderr.write(f"noise_gain={result.noise_gain:.9g} rescale={result.rescale:.9g}\n")
@@ -224,8 +324,7 @@ def cmd_grid_search(args: argparse.Namespace) -> int:
     gammas = [float(v) for v in args.gammas.split(",") if v]
     multipliers = [float(v) for v in args.multipliers.split(",") if v]
     rate = fixtures[0].clip.sample_rate if fixtures else DATASET_SAMPLE_RATE
-    base_config, spec = det.build_configs(args.values, rate)
-    _emit_config(_effective_config(args), args.out)
+    base_config, spec = _configure(args, rate)
     noise = None
     if args.noise:
         noise = (load_wav(args.noise), args.snr_db if args.snr_db is not None else 10.0)
@@ -255,7 +354,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def _add_key_flags(p: argparse.ArgumentParser, *owners: type) -> None:
-    for name, key in det.CONFIG_TABLE.items():
+    for name, key in CONFIG_TABLE.items():
         if key.flag and key.owner in owners:
             help_text = f"config key {name} (default {key.default})"
             p.add_argument(key.flag, type=key.number, dest=name, help=help_text)
@@ -330,11 +429,14 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command in _OUT_REQUIRED and not args.out:
             raise ParameterError(f"{args.command} requires --out")
-        args.values = det.parse_config_file(args.config) if args.config else {}
-        for name in det.CONFIG_TABLE:  # flags override the file
+        args.values = parse_config_file(args.config) if args.config else {}
+        for name in CONFIG_TABLE:  # flags override the file
             if getattr(args, name, None) is not None:
                 args.values[name] = getattr(args, name)
         return args.func(args)
+    except MemoryError:
+        sys.stderr.write(f"error: out of memory in {args.command}\n")
+        return 3
     except (BounceError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         if isinstance(exc, NumericError):

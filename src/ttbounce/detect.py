@@ -14,20 +14,22 @@ filter it is (``lfilter``) over a chunk of frames, jumps to the first frame
 above threshold, handles that trigger and the refractory run after it, and
 resumes; its Python work scales with above-threshold runs, not frames, and
 its events are bit-identical to stepping every frame.
+
+``extract_window`` then cuts each onset's classifier window. The module
+imports nothing from the classifiers; the CLI maps its config keys and
+flags onto ``DetectorConfig`` and ``FilterSpec``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import IO, Iterable, Iterator
 
 import numpy as np
 from scipy.signal import butter, lfilter, sosfilt, sosfiltfilt
 
-from .audio_io import DATASET_SAMPLE_RATE, AudioClip, read_utf8
-from .classify.data import TrainConfig
+from .audio_io import DATASET_SAMPLE_RATE, AudioClip
 from .errors import DataError, ParameterError, ProtocolError
 from .features import PRE_ONSET, WINDOW_LEN
 
@@ -89,18 +91,9 @@ def frame_length(sample_rate: int, frame_ms: float) -> int:
     return int(sample_rate * frame_ms / 1000.0)
 
 
-def frame_energy(clip: AudioClip, frame_ms: float) -> np.ndarray:
-    """Mean squared amplitude over consecutive non-overlapping frames.
-
-    A trailing partial frame is dropped.
-    """
-    length = frame_length(clip.sample_rate, frame_ms)
-    if length < 1:
-        raise ParameterError(f"frame of {frame_ms} ms is shorter than one sample")
-    return _frame_energy_array(clip.samples, length)
-
-
-def _frame_energy_array(x: np.ndarray, length: int) -> np.ndarray:
+def frame_energies(x: np.ndarray, length: int) -> np.ndarray:
+    """Mean squared amplitude over consecutive ``length``-sample frames; a trailing
+    partial frame is dropped."""
     n_frames = x.size // length
     if n_frames == 0:
         return np.zeros(0)
@@ -254,7 +247,7 @@ def detect_bounces(
         )
     filtered = sosfilt(design_butterworth_highpass(filter_spec), clip.samples)
     scanner = _EnergyScanner(config, clip.sample_rate)
-    return scanner.scan(_frame_energy_array(filtered, scanner.length), filtered)
+    return scanner.scan(frame_energies(filtered, scanner.length), filtered)
 
 
 class StreamingDetector:
@@ -335,104 +328,7 @@ def extract_window(clip: AudioClip, event: BounceEvent | int) -> np.ndarray:
     return out
 
 
-# --- External interfaces ------------------------------------------------------
-
-@dataclass(frozen=True)
-class ConfigKey:
-    """A --config key, the dataclass field it sets (giving its type and default), its flag."""
-
-    name: str
-    owner: type
-    flag: str | None = None
-
-    @property
-    def field(self) -> str:
-        return self.name.rpartition(".")[2]
-
-    @property
-    def default(self) -> int | float:
-        return getattr(self.owner, self.field)
-
-    @property
-    def type(self) -> type:
-        return type(self.default)
-
-    def number(self, raw: str) -> int | float:
-        """Parse a file or flag value; ValueError unless finite, and integral for an int key."""
-        try:
-            value = float(raw)
-        except ValueError:
-            value = math.nan  # reported below like any other non-finite value
-        if not math.isfinite(value) or (self.type is int and not value.is_integer()):
-            raise ValueError(f"{self.name} takes a finite {self.type.__name__}, got {raw!r}")
-        return self.type(value)
-
-
-# Every key a --config file may set. The train.* keys configure the
-# classifier trainer; they share the file so one config drives a whole run.
-CONFIG_TABLE = {
-    k.name: k
-    for k in (
-        ConfigKey("frame_ms", DetectorConfig),
-        ConfigKey("gamma", DetectorConfig, "--gamma"),
-        ConfigKey("threshold_multiplier", DetectorConfig, "--threshold-multiplier"),
-        ConfigKey("refractory_ms", DetectorConfig, "--refractory-ms"),
-        ConfigKey("ema_floor", DetectorConfig),
-        ConfigKey("filter.order", FilterSpec),
-        ConfigKey("filter.cutoff_hz", FilterSpec, "--cutoff-hz"),
-        ConfigKey("train.epochs", TrainConfig, "--epochs"),
-        ConfigKey("train.batch_size", TrainConfig, "--batch-size"),
-        ConfigKey("train.learning_rate", TrainConfig, "--learning-rate"),
-        ConfigKey("train.patience", TrainConfig),
-    )
-}
-CONFIG_KEYS = tuple(n for n, k in CONFIG_TABLE.items() if k.owner is not TrainConfig)
-
-
-def parse_config_file(path: str | Path) -> dict[str, int | float]:
-    """Read a flat key=value config file.
-
-    Only the keys of ``CONFIG_TABLE`` are accepted; '#' starts a comment.
-    Values must be finite numbers, and integral for integer keys.
-    """
-    values: dict[str, int | float] = {}
-    for lineno, line in enumerate(read_utf8(path, ParameterError).splitlines(), 1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ParameterError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        key, _, raw = line.partition("=")
-        key, raw = key.strip(), raw.strip()
-        if key not in CONFIG_TABLE:
-            raise ParameterError(f"{path}:{lineno}: unknown config key {key!r}")
-        try:
-            values[key] = CONFIG_TABLE[key].number(raw)
-        except ValueError as exc:
-            raise ParameterError(f"{path}:{lineno}: {exc}") from None
-    return values
-
-
-def config_from(owner: type, values: dict[str, int | float], **fixed):
-    """Build ``owner`` from the table keys it owns; absent keys keep their default."""
-    own = {
-        k.field: k.type(values[name])
-        for name, k in CONFIG_TABLE.items()
-        if k.owner is owner and name in values
-    }
-    return owner(**own, **fixed)
-
-
-def build_configs(
-    values: dict[str, int | float], sample_rate: int
-) -> tuple[DetectorConfig, FilterSpec]:
-    """Construct validated configs from parsed key=value pairs."""
-    config = config_from(DetectorConfig, values)
-    spec = config_from(FilterSpec, values, sample_rate=sample_rate)
-    config.validate(sample_rate)
-    spec.validate()
-    return config, spec
-
+# --- Events CSV ---------------------------------------------------------------
 
 EVENT_CSV_HEADER = "onset_sample,onset_s,peak_energy"
 

@@ -117,31 +117,9 @@ def normalize_cells(values: np.ndarray) -> np.ndarray:
     return (values - mean) / std
 
 
-@dataclass(frozen=True)
-class MelSpectrogram:
-    values: np.ndarray
-    normalized: bool
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.values.shape
-
-
-def mel_spectrogram(window: np.ndarray) -> MelSpectrogram:
-    """Normalized log-mel spectrogram of one onset-aligned window."""
-    return MelSpectrogram(values=normalize_cells(log_mel(window)), normalized=True)
-
-
-def mfcc(window: np.ndarray) -> np.ndarray:
-    """Frame-averaged mel-frequency cepstral coefficients.
-
-    Orthonormal DCT-II along the mel axis of the pre-normalization log-mel
-    matrix, truncated to ``N_MFCC`` and averaged across frames.
-    """
-    return mfcc_from_cells(log_mel(window))
-
-
 def mfcc_from_cells(cells: np.ndarray) -> np.ndarray:
+    """Frame-averaged MFCCs: orthonormal DCT-II along the mel axis of the
+    pre-normalization log-mel cells, truncated to ``N_MFCC``."""
     coeffs = dct(np.asarray(cells, dtype=np.float64), type=2, axis=0, norm="ortho")
     return coeffs[:N_MFCC].mean(axis=1)
 

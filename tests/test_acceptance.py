@@ -38,9 +38,9 @@ from ttbounce.classify import (
 )
 from ttbounce.classify.cnn import (
     batchnorm_train,
+    _conv_backward,
+    _conv_forward,
     batchnorm_train_backward,
-    conv2d_same,
-    conv2d_same_backward,
     maxpool2,
     maxpool2_backward,
     new_cnn,
@@ -123,8 +123,8 @@ def test_c04_gradient_correctness():
     w = rng.standard_normal((4, 3, 3, 3)) * 0.5
     b = rng.standard_normal(4) * 0.1
     r = rng.standard_normal((2, 4, 6, 5))
-    loss = lambda: float(np.sum(r * conv2d_same(x, w, b)))
-    dx, dw, db = conv2d_same_backward(x, w, r)
+    loss = lambda: float(np.sum(r * _conv_forward(x, w, b)[0]))
+    dx, dw, db = _conv_backward(_conv_forward(x, w, b)[1], x.shape, w, r)
     worst["conv"] = max(
         max_rel_error(dx, fd_gradient(loss, x)),
         max_rel_error(dw, fd_gradient(loss, w)),

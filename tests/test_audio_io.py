@@ -1,5 +1,6 @@
 import os
 import struct
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -225,13 +226,13 @@ def test_manifest_rejects_wrong_header(tmp_path):
 )
 def test_dataset_class_totals_match_published_counts():
     manifest = load_manifest(os.environ["TTSOUNDS_MANIFEST"])
-    counts = manifest.surface_counts()
+    counts = Counter(e.surface for e in manifest.entries)
     racket_total = sum(counts[s] for s in SurfaceClass if s.is_racket)
     assert racket_total == 3396
     assert counts[SurfaceClass.table] == 777
     assert counts[SurfaceClass.floor] == 290
     assert counts[SurfaceClass.other] == 1239
-    spins = manifest.spin_counts()
+    spins = Counter(e.spin for e in manifest.entries)
     assert spins[SpinClass.back] == 991
     assert spins[SpinClass.flat] == 1879
     assert spins[SpinClass.top] == 526

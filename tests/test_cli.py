@@ -510,7 +510,7 @@ def test_methods_are_the_registry_kinds():
 def test_readme_lists_every_config_key_with_its_type_default_and_flag():
     from pathlib import Path
 
-    from ttbounce.detect import CONFIG_TABLE
+    from ttbounce.cli import CONFIG_TABLE
 
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     section = readme.split("### Config file", 1)[1].split("\n## ", 1)[0]
@@ -530,3 +530,67 @@ def test_flag_value_of_wrong_type_exits_2(click_wav, features_file, tmp_path, fl
     with pytest.raises(SystemExit) as exc:
         main(argv + flag)
     assert exc.value.code == 2
+
+
+@pytest.fixture
+def click_48k_wav(tmp_path):
+    p = tmp_path / "click48k.wav"
+    write_wav(p, click_fixture(seed=8, n_clicks=1, sample_rate=48000).clip)
+    return p
+
+
+@pytest.mark.parametrize("how", ["flag", "config"])
+def test_detect_validates_detector_keys_at_the_clip_rate(how, click_48k_wav, click_wav, tmp_path):
+    # Both settings are valid at 48 kHz only: a cutoff below its 24 kHz Nyquist
+    # frequency, and a frame of 8 samples (7 at 44.1 kHz).
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("frame_ms=0.17\n")
+    extra = ["--cutoff-hz", "23000"] if how == "flag" else ["--config", str(cfg)]
+    assert main(["detect", str(click_48k_wav), *extra]) == 0
+    assert main(["detect", str(click_wav), *extra]) == 2
+
+
+def test_bad_detector_key_exits_2_from_a_command_without_audio(features_file, tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("gamma=2\n")
+    argv = ["train", str(features_file), "--task", "surface", "--method", "svm",
+            "--config", str(cfg), "--out", str(tmp_path / "m.ttsb")]
+    assert main(argv) == 2
+    assert "gamma" in capsys.readouterr().err
+    assert not (tmp_path / "m.ttsb").exists()
+
+
+def test_run_refuses_a_model_trained_for_the_other_task(
+    click_wav, features_file, spin_features_file, tmp_path, capsys
+):
+    surface, spin = tmp_path / "surface.ttsb", tmp_path / "spin.ttsb"
+    assert main(["train", str(features_file), "--task", "surface", "--method", "svm",
+                 "--epochs", "2", "--out", str(surface)]) == 0
+    assert main(["train", str(spin_features_file), "--task", "spin", "--method", "gmm",
+                 "--out", str(spin)]) == 0
+    capsys.readouterr()
+    for surface_model, spin_model, error in (
+        (spin, surface, f"--surface-model {spin}: a spin model, not a surface model"),
+        (surface, surface, f"--spin-model {surface}: a surface model, not a spin model"),
+    ):
+        argv = ["run", str(click_wav), "--surface-model", str(surface_model),
+                "--spin-model", str(spin_model)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {error}"]
+    argv = ["run", str(click_wav), "--surface-model", str(surface), "--spin-model", str(spin)]
+    assert main(argv) == 0
+
+
+def test_out_of_memory_is_one_error_line_and_exit_3(monkeypatch, silence_wav, capsys):
+    from ttbounce import cli
+
+    def no_memory(path):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "load_wav", no_memory)
+    assert main(["detect", str(silence_wav)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "error: out of memory in detect\n"
+    assert captured.out == ""

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ttbounce import write_wav
-from ttbounce.cli import main
-from ttbounce.detect import CONFIG_TABLE
+from ttbounce.cli import CONFIG_TABLE, main
 from ttbounce.synth import click_fixture
 
 FUZZ = settings(

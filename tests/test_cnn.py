@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from oracles import fd_gradient, max_rel_error, model_gradcheck_worst
-from ttbounce.classify import TrainConfig, assemble_task, cnn_forward, cnn_loss_and_grad, cnn_train, mel_inputs, new_cnn
+from ttbounce.classify import TrainConfig, assemble_task, cnn_loss_and_grad, cnn_train, mel_inputs, new_cnn, predict_cnn
 from ttbounce.classify.cnn import (
     batchnorm_train,
+    _conv_backward,
+    _conv_forward,
     batchnorm_train_backward,
-    conv2d_same,
-    conv2d_same_backward,
     maxpool2,
     maxpool2_backward,
     spatial_trace,
@@ -34,7 +34,7 @@ def test_construction_rejects_collapsing_pools():
 
 def test_forward_is_probability_vector(rng):
     model = new_cnn(tuple("abcdefghijklm"), "surface", seed=1)
-    probs = cnn_forward(model, rng.standard_normal((5, 64, 7)))
+    probs = predict_cnn(model, rng.standard_normal((5, 64, 7)))
     assert probs.shape == (5, 13)
     assert np.all(probs >= 0)
     assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-6)
@@ -44,26 +44,26 @@ def test_zero_dense_layer_gives_uniform(rng):
     model = new_cnn(("x", "y", "z"), "spin", seed=0, channels=(4, 4), pools=(1,), input_shape=(16, 7))
     model.dense_w[:] = 0.0
     model.dense_b[:] = 0.0
-    probs = cnn_forward(model, rng.standard_normal((3, 16, 7)))
+    probs = predict_cnn(model, rng.standard_normal((3, 16, 7)))
     assert np.allclose(probs, 1.0 / 3.0, atol=1e-12)
 
 
 def test_infer_is_pure(rng):
     model = new_cnn(("x", "y"), "spin", seed=4, channels=(3, 3), pools=(2,), input_shape=(8, 6))
     x = rng.standard_normal((4, 8, 6))
-    assert np.array_equal(cnn_forward(model, x), cnn_forward(model, x))
+    assert np.array_equal(predict_cnn(model, x), predict_cnn(model, x))
 
 
 def test_train_mode_rejects_batch_of_one(rng):
     model = new_cnn(("x", "y"), "spin", seed=4, channels=(3,), pools=(), input_shape=(8, 6))
     with pytest.raises(ParameterError, match="batch"):
-        cnn_forward(model, rng.standard_normal((1, 8, 6)), mode="train")
+        cnn_loss_and_grad(model, rng.standard_normal((1, 8, 6)), np.array([0]))
 
 
 def test_wrong_input_shape_rejected(rng):
     model = new_cnn(("x", "y"), "spin", seed=4)
     with pytest.raises(ParameterError, match="shape"):
-        cnn_forward(model, rng.standard_normal((2, 32, 7)))
+        predict_cnn(model, rng.standard_normal((2, 32, 7)))
 
 
 def test_batchnorm_contract(rng):
@@ -94,9 +94,9 @@ def test_perfect_prediction_loss_near_zero(rng):
 def test_argmax_invariant_to_dense_bias_shift(rng):
     model = new_cnn(("a", "b", "c"), "spin", seed=5, channels=(3, 3), pools=(2,), input_shape=(8, 6))
     x = rng.standard_normal((6, 8, 6))
-    before = cnn_forward(model, x).argmax(axis=1)
+    before = predict_cnn(model, x).argmax(axis=1)
     model.dense_b += 3.25
-    after = cnn_forward(model, x).argmax(axis=1)
+    after = predict_cnn(model, x).argmax(axis=1)
     assert np.array_equal(before, after)
 
 
@@ -128,8 +128,8 @@ def test_conv_gradients_match_fd():
     w = rng.standard_normal((4, 3, 3, 3)) * 0.5
     b = rng.standard_normal(4) * 0.1
     r = _proj(rng, (2, 4, 6, 5))
-    loss = lambda: float(np.sum(r * conv2d_same(x, w, b)))
-    dx, dw, db = conv2d_same_backward(x, w, r)
+    loss = lambda: float(np.sum(r * _conv_forward(x, w, b)[0]))
+    dx, dw, db = _conv_backward(_conv_forward(x, w, b)[1], x.shape, w, r)
     assert max_rel_error(dx, fd_gradient(loss, x)) < 1e-4
     assert max_rel_error(dw, fd_gradient(loss, w)) < 1e-4
     assert max_rel_error(db, fd_gradient(loss, b)) < 1e-4

@@ -182,16 +182,15 @@ def test_deep_copy_made_writable_is_not_stale(rng):
 def test_validation_pass_matches_reference(monkeypatch):
     """cnn_train's per-epoch validation scores equal the reference on the live model."""
     calls = []
-    forward = cnn.cnn_forward
+    forward = cnn.predict_cnn
 
-    def checked(model, mels, mode="infer"):
-        out = forward(model, mels, mode)
-        if mode == "infer":
-            assert np.array_equal(out, cnn_infer_reference(model, mels))
-            calls.append(len(mels))
+    def checked(model, mels):
+        out = forward(model, mels)
+        assert np.array_equal(out, cnn_infer_reference(model, mels))
+        calls.append(len(mels))
         return out
 
-    monkeypatch.setattr(cnn, "cnn_forward", checked)
+    monkeypatch.setattr(cnn, "predict_cnn", checked)
     ds = assemble_task(two_band_records(20, seed=8), "surface")
     cfg = TrainConfig(epochs=3, batch_size=8, seed=1, task="surface", patience=10)
     _, log = cnn_train(mel_inputs(ds.cells), ds.labels, ds.strata, ds.classes, cfg, channels=(3, 4), pools=(1,))

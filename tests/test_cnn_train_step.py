@@ -15,10 +15,11 @@ from oracles import (
 from ttbounce.classify import TrainConfig, assemble_task, cnn_train, mel_inputs, new_cnn, save_model
 from ttbounce.classify import cnn
 from ttbounce.classify.cnn import (
+    _conv_backward,
     _grad_refs,
+    _patches,
     batchnorm_train,
     cnn_loss_and_grad,
-    conv2d_same_backward,
     maxpool2,
     maxpool2_backward,
     spatial_trace,
@@ -105,7 +106,7 @@ def test_conv_backward_bit_identical_to_strided_scatter(shape):
     w = rng.standard_normal((5, shape[1], 3, 3))
     dout = rng.standard_normal((shape[0], 5, *shape[2:]))
     dout[dout < -1.0] = -0.0  # zero terms of both signs
-    got = conv2d_same_backward(x, w, dout)
+    got = _conv_backward(_patches(x.transpose(1, 0, 2, 3)), x.shape, w, dout)
     want = conv_backward_reference(im2col_reference(x), x.shape, w, dout)
     for g, r in zip(got, want, strict=True):
         assert _same(np.ascontiguousarray(g), r)

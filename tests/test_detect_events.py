@@ -11,15 +11,10 @@ from ttbounce import (
     detect_bounces,
     detect_streaming,
     extract_window,
-    frame_energy,
     stream_frames,
 )
-from ttbounce.detect import (
-    CONFIG_KEYS,
-    build_configs,
-    parse_config_file,
-    write_events_csv,
-)
+from ttbounce.cli import CONFIG_TABLE, config_from, parse_config_file
+from ttbounce.detect import frame_energies, frame_length, write_events_csv
 from ttbounce.errors import ParameterError, ProtocolError
 from ttbounce.evaluate import run_detection_benchmark
 from ttbounce.synth import click_fixture, damped_tone, fixture_set, pink_noise
@@ -32,25 +27,39 @@ def detection_fixtures():
     return fixture_set(50, seed=7)
 
 
+def test_detect_imports_nothing_from_classify():
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import ttbounce
+
+    code = "import sys, ttbounce.detect; print('ttbounce.classify' in sys.modules)"
+    src = str(Path(ttbounce.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={"PYTHONPATH": src}, capture_output=True, text=True,
+        check=True,
+    )
+    assert out.stdout == "False\n"
+
+
 # --- frame energy ---------------------------------------------------------------
 
 
 def test_constant_signal_energy_is_amplitude_squared():
-    clip = AudioClip(samples=np.full(441, 0.25), sample_rate=FS)
-    e = frame_energy(clip, 1.0)
+    e = frame_energies(np.full(441, 0.25), 44)
     assert np.allclose(e, 0.0625, atol=1e-15)
     assert e.size == 10
 
 
 def test_frame_length_is_floor_of_samples_per_ms():
-    clip = AudioClip(samples=np.zeros(441), sample_rate=FS)
-    assert frame_energy(clip, 1.0).size == 441 // 44  # 44 samples per frame
+    assert frame_length(FS, 1.0) == 44
+    assert frame_energies(np.zeros(441), 44).size == 441 // 44
 
 
 def test_energy_sum_identity(rng):
     x = rng.standard_normal(1000)
-    clip = AudioClip(samples=x, sample_rate=FS)
-    e = frame_energy(clip, 1.0)
+    e = frame_energies(x, 44)
     covered = e.size * 44
     # Oracle: direct summation over the covered region.
     assert np.sum(e) * 44 == pytest.approx(np.sum(x[:covered] ** 2), abs=1e-9)
@@ -58,8 +67,8 @@ def test_energy_sum_identity(rng):
 
 def test_subsample_frame_rejected():
     clip = AudioClip(samples=np.zeros(100), sample_rate=FS)
-    with pytest.raises(ParameterError):
-        frame_energy(clip, 0.01)
+    with pytest.raises(ParameterError, match="fewer than 8 samples"):
+        detect_bounces(clip, DetectorConfig(frame_ms=0.01), FilterSpec())
 
 
 # --- EMA -------------------------------------------------------------------------
@@ -203,11 +212,11 @@ def test_raising_threshold_never_adds_events(seed):
 def test_ema_stays_within_seen_energy_bounds(rng):
     # After warm-up the average is a convex combination of non-triggering
     # frame energies.
-    from ttbounce.detect import _EnergyScanner, _frame_energy_array
+    from ttbounce.detect import _EnergyScanner
 
     x = 0.05 * rng.standard_normal(FS)
     scanner = _EnergyScanner(DetectorConfig(), FS)
-    energies = _frame_energy_array(x, scanner.length)
+    energies = frame_energies(x, scanner.length)
     seen = []
     for k, e in enumerate(energies):
         before = scanner.avg
@@ -296,7 +305,7 @@ def test_config_file_roundtrip(tmp_path):
         "filter.cutoff_hz = 9000\n"
     )
     values = parse_config_file(p)
-    config, spec = build_configs(values, FS)
+    config, spec = config_from(DetectorConfig, values), config_from(FilterSpec, values)
     assert config.gamma == 0.99
     assert config.threshold_multiplier == 6.0
     assert spec.cutoff_hz == 9000.0
@@ -311,7 +320,8 @@ def test_config_file_unknown_key_rejected(tmp_path):
 
 
 def test_config_keys_documented():
-    assert CONFIG_KEYS == (
+    owners = {name: key.owner for name, key in CONFIG_TABLE.items()}
+    assert tuple(n for n, o in owners.items() if o in (DetectorConfig, FilterSpec)) == (
         "frame_ms",
         "gamma",
         "threshold_multiplier",
