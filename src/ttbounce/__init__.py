@@ -26,10 +26,8 @@ from .detect import (
     StreamingDetector,
     design_butterworth_highpass,
     detect_bounces,
-    detect_streaming,
     extract_window,
     filter_zero_phase,
-    stream_frames,
 )
 from .features import (
     FeatureRecord,
@@ -59,7 +57,6 @@ __all__ = [
     "SurfaceClass",
     "design_butterworth_highpass",
     "detect_bounces",
-    "detect_streaming",
     "extract_window",
     "filter_zero_phase",
     "hz_to_mel",
@@ -71,7 +68,6 @@ __all__ = [
     "mix_noise",
     "read_feature_file",
     "stft",
-    "stream_frames",
     "write_feature_file",
     "write_wav",
 ]

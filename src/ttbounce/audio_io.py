@@ -141,14 +141,6 @@ def _parse_wav_chunks(raw: bytes, path: Path) -> tuple[dict, bytes]:
     return fmt, data
 
 
-def _wav_info(path: Path) -> tuple[int, int]:
-    """Sample rate and per-channel frame count, without decoding samples."""
-    fmt, data = _parse_wav_chunks(Path(path).read_bytes(), Path(path))
-    bytes_per_sample = fmt["bits"] // 8
-    denom = max(1, bytes_per_sample * fmt["channels"])
-    return fmt["rate"], len(data) // denom
-
-
 def load_wav(path: str | Path) -> AudioClip:
     """Load a PCM16 or float32 WAV file as a mono clip in [-1, 1].
 
@@ -215,6 +207,8 @@ def load_manifest(path: str | Path) -> DatasetManifest:
 
     Rows are ``path,onset_ms,surface,spin``; relative paths resolve against
     the manifest's directory; the spin field is empty for non-racket rows.
+    Each referenced file must exist; no WAV is opened here, so an onset is
+    checked against its file's duration where the file is decoded.
     """
     path = Path(path)
     root = path.parent
@@ -262,13 +256,6 @@ def load_manifest(path: str | Path) -> DatasetManifest:
     missing = sorted({str(e.path) for e in entries if not e.path.exists()})
     if missing:
         raise ValidationError(f"{path}: missing referenced files: " + ", ".join(missing))
-    info = {p: _wav_info(p) for p in dict.fromkeys(e.path for e in entries)}
-    for e in entries:
-        rate, n = info[e.path]
-        if e.onset_ms > 1000.0 * n / rate:
-            raise ValidationError(
-                f"{path}: onset {e.onset_ms} ms beyond duration of {e.path}"
-            )
     return DatasetManifest(entries=tuple(entries))
 
 

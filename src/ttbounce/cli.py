@@ -17,12 +17,16 @@ import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
 from . import detect as det
 from .audio_io import (
     DATASET_SAMPLE_RATE,
+    AudioClip,
+    DatasetManifest,
+    ManifestEntry,
     load_manifest,
     load_wav,
     mix_noise,
@@ -41,7 +45,14 @@ from .classify import (
     train_task_model,
 )
 from .classify.data import TASKS
-from .errors import BounceError, DataError, FormatError, NumericError, ParameterError
+from .errors import (
+    BounceError,
+    DataError,
+    FormatError,
+    NumericError,
+    ParameterError,
+    ValidationError,
+)
 from .evaluate import (
     confusion_csv,
     end_to_end,
@@ -152,9 +163,9 @@ def _configure(
     rate if it reads none); then the effective configuration goes to stderr and
     beside any --out file."""
     config = config_from(det.DetectorConfig, args.values)
-    spec = config_from(det.FilterSpec, args.values, sample_rate=sample_rate)
+    spec = config_from(det.FilterSpec, args.values)
     config.validate(sample_rate)
-    spec.validate()
+    spec.validate(sample_rate)
     eff = {**_settings(config, spec), **args.values, "seed": args.seed, **(extra or {})}
     text = "".join(f"{k}={v}\n" for k, v in sorted(eff.items()))
     sys.stderr.write("# effective configuration\n" + text)
@@ -185,19 +196,34 @@ def cmd_detect(args: argparse.Namespace) -> int:
     return 0
 
 
+def _decoded_files(
+    manifest: DatasetManifest, name: str
+) -> Iterator[tuple[Path, AudioClip, list[tuple[int, ManifestEntry]]]]:
+    """Each file of a manifest, decoded once, with its rows as (row index, entry).
+
+    Files are decoded one at a time in order of first mention, so a caller
+    can drop each clip after its rows. An onset beyond its decoded clip
+    raises ValidationError before the clip is yielded.
+    """
+    rows: dict[Path, list[tuple[int, ManifestEntry]]] = {}
+    for i, entry in enumerate(manifest.entries):
+        rows.setdefault(entry.path, []).append((i, entry))
+    for path, file_rows in rows.items():
+        clip = load_wav(path)
+        for _, entry in file_rows:
+            if entry.onset_ms > 1000.0 * len(clip) / clip.sample_rate:
+                raise ValidationError(
+                    f"{name}: onset {entry.onset_ms} ms beyond duration of {path}"
+                )
+        yield path, clip, file_rows
+
+
 def cmd_featurize(args: argparse.Namespace) -> int:
     manifest = load_manifest(args.manifest)
-    _configure(args)
-    # Rows grouped by file, so each file is decoded once and dropped after
-    # its rows; records keep the manifest's row order.
-    rows: dict[Path, list[int]] = {}
-    for i, entry in enumerate(manifest.entries):
-        rows.setdefault(entry.path, []).append(i)
+    # Records keep the manifest's row order.
     records: list[FeatureRecord | None] = [None] * len(manifest.entries)
-    for path, indices in rows.items():
-        clip = load_wav(path)
-        for i in indices:
-            entry = manifest.entries[i]
+    for path, clip, rows in _decoded_files(manifest, args.manifest):
+        for i, entry in rows:
             onset_sample = int(round(entry.onset_ms / 1000.0 * clip.sample_rate))
             try:
                 window = det.extract_window(clip, onset_sample)
@@ -208,6 +234,7 @@ def cmd_featurize(args: argparse.Namespace) -> int:
                 spin=int(entry.spin) if entry.spin is not None else -1,
                 cells=log_mel(window).astype(np.float32),
             )
+    _configure(args)  # after every file decoded, so a bad file leaves no sidecar
     write_feature_file(args.out, records)
     return 0
 
@@ -304,26 +331,16 @@ def cmd_mix(args: argparse.Namespace) -> int:
     return 0
 
 
-def _manifest_fixtures(path: str) -> list[DetectionFixture]:
-    manifest = load_manifest(path)
-    by_file: dict[Path, list[float]] = {}
-    for entry in manifest.entries:
-        by_file.setdefault(entry.path, []).append(entry.onset_ms / 1000.0)
-    fixtures = []
-    for file_path, onsets in sorted(by_file.items()):
-        fixtures.append(
-            DetectionFixture(
-                name=str(file_path), clip=load_wav(file_path), onsets_s=tuple(sorted(onsets))
-            )
-        )
-    return fixtures
-
-
 def cmd_grid_search(args: argparse.Namespace) -> int:
-    fixtures = _manifest_fixtures(args.manifest)
+    fixtures = [
+        DetectionFixture(str(path), clip, tuple(sorted(e.onset_ms / 1000.0 for _, e in rows)))
+        for path, clip, rows in _decoded_files(load_manifest(args.manifest), args.manifest)
+    ]
     gammas = [float(v) for v in args.gammas.split(",") if v]
     multipliers = [float(v) for v in args.multipliers.split(",") if v]
-    rate = fixtures[0].clip.sample_rate if fixtures else DATASET_SAMPLE_RATE
+    # Keys valid at the lowest rate (the tightest cutoff and frame bounds)
+    # are valid at every rate; each clip's filter is designed at its own.
+    rate = min((f.clip.sample_rate for f in fixtures), default=DATASET_SAMPLE_RATE)
     base_config, spec = _configure(args, rate)
     noise = None
     if args.noise:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable
 
 import numpy as np
 from scipy.signal import butter, lfilter, sosfilt, sosfiltfilt
@@ -36,29 +36,31 @@ from .features import PRE_ONSET, WINDOW_LEN
 
 @dataclass(frozen=True)
 class FilterSpec:
-    """High-pass Butterworth design parameters."""
+    """High-pass Butterworth design parameters; the design rate is the audio's."""
 
     order: int = 5
     cutoff_hz: float = 10000.0
-    sample_rate: int = 44100
 
-    def validate(self) -> None:
+    def validate(self, sample_rate: int) -> None:
         if self.order < 1:
             raise ParameterError(f"filter order must be >= 1, got {self.order}")
-        if not 0.0 < self.cutoff_hz < self.sample_rate / 2:
+        if not 0.0 < self.cutoff_hz < sample_rate / 2:
             raise ParameterError(
-                f"cutoff {self.cutoff_hz} Hz must lie in (0, {self.sample_rate / 2}) Hz"
+                f"cutoff {self.cutoff_hz} Hz must lie in (0, {sample_rate / 2}) Hz"
             )
 
 
-def design_butterworth_highpass(spec: FilterSpec) -> np.ndarray:
-    """The digital Butterworth high-pass as second-order sections (scipy ``sos``).
+def design_butterworth_highpass(
+    spec: FilterSpec, sample_rate: int = DATASET_SAMPLE_RATE
+) -> np.ndarray:
+    """The digital Butterworth high-pass at ``sample_rate``, as second-order
+    sections (scipy ``sos``).
 
     The bilinear transform is pre-warped, so the -3.01 dB point lands
     exactly on ``cutoff_hz``.
     """
-    spec.validate()
-    return butter(spec.order, spec.cutoff_hz, "highpass", fs=spec.sample_rate, output="sos")
+    spec.validate(sample_rate)
+    return butter(spec.order, spec.cutoff_hz, "highpass", fs=sample_rate, output="sos")
 
 
 def filter_zero_phase(sos: np.ndarray, clip: AudioClip) -> AudioClip:
@@ -236,16 +238,13 @@ def detect_bounces(
 ) -> list[BounceEvent]:
     """Detect bounce onsets in a recording (batch mode).
 
-    One causal pass of the high-pass over the whole clip, then the scan:
-    the events equal those of ``detect_streaming`` on the same clip. Onsets
-    index into the unfiltered signal and are refined to the first
-    threshold-crossing sample inside the triggering frame.
+    One causal pass of the high-pass, designed at the clip's rate, over the
+    whole clip, then the scan: the events equal those of feeding the clip's
+    frames to a ``StreamingDetector`` at that rate. Onsets index into the
+    unfiltered signal and are refined to the first threshold-crossing
+    sample inside the triggering frame.
     """
-    if clip.sample_rate != filter_spec.sample_rate:
-        raise ParameterError(
-            f"clip rate {clip.sample_rate} != filter design rate {filter_spec.sample_rate}"
-        )
-    filtered = sosfilt(design_butterworth_highpass(filter_spec), clip.samples)
+    filtered = sosfilt(design_butterworth_highpass(filter_spec, clip.sample_rate), clip.samples)
     scanner = _EnergyScanner(config, clip.sample_rate)
     return scanner.scan(frame_energies(filtered, scanner.length), filtered)
 
@@ -256,14 +255,20 @@ class StreamingDetector:
     The filter carries its state from frame to frame, so the frames see the
     one causal pass that batch detection runs over a whole clip. An event
     for a frame is returned by the same ``process_frame`` call that saw the
-    frame. Instances are single-stream: never share one across concurrent
-    streams.
+    frame. ``sample_rate`` is the rate of the stream's audio; the filter and
+    the frame length are set at it. Instances are single-stream: never share
+    one across concurrent streams.
     """
 
-    def __init__(self, config: DetectorConfig, filter_spec: FilterSpec):
-        self._sos = design_butterworth_highpass(filter_spec)
+    def __init__(
+        self,
+        config: DetectorConfig,
+        filter_spec: FilterSpec,
+        sample_rate: int = DATASET_SAMPLE_RATE,
+    ):
+        self._sos = design_butterworth_highpass(filter_spec, sample_rate)
         self._zi = np.zeros((self._sos.shape[0], 2))
-        self.scanner = _EnergyScanner(config, filter_spec.sample_rate)
+        self.scanner = _EnergyScanner(config, sample_rate)
         self.next_frame = 0
 
     @property
@@ -285,24 +290,6 @@ class StreamingDetector:
         energy = float(np.mean(np.square(y)))
         ev = self.scanner.step(frame_index, energy, y)
         return [ev] if ev is not None else []
-
-
-def stream_frames(clip: AudioClip, frame_ms: float) -> Iterator[tuple[int, np.ndarray]]:
-    """Replay a clip as indexed fixed-length frames (trailing partial dropped)."""
-    length = frame_length(clip.sample_rate, frame_ms)
-    for k in range(len(clip) // length):
-        yield k, clip.samples[k * length : (k + 1) * length]
-
-
-def detect_streaming(
-    frames: Iterable[tuple[int, np.ndarray]],
-    config: DetectorConfig,
-    filter_spec: FilterSpec,
-) -> Iterator[BounceEvent]:
-    """Run the streaming detector over an iterable of (frame_index, samples)."""
-    det = StreamingDetector(config, filter_spec)
-    for index, samples in frames:
-        yield from det.process_frame(index, samples)
 
 
 def extract_window(clip: AudioClip, event: BounceEvent | int) -> np.ndarray:

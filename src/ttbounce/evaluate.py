@@ -32,13 +32,8 @@ class DetectionScore:
 
     @property
     def precision(self) -> float:
-        # No predictions at all: vacuously 1.0, flagged via precision_vacuous.
         denom = self.matched + self.spurious
         return self.matched / denom if denom else 1.0
-
-    @property
-    def precision_vacuous(self) -> bool:
-        return self.matched + self.spurious == 0
 
     @property
     def recall(self) -> float:

@@ -18,6 +18,7 @@ from ttbounce import (
     write_wav,
 )
 from ttbounce.audio_io import rms
+from ttbounce.cli import main
 from ttbounce.errors import (
     EmptyDataError,
     FormatError,
@@ -205,12 +206,20 @@ def test_manifest_lists_all_missing_files(tmp_path):
     assert "gone1.wav" in str(exc.value) and "gone2.wav" in str(exc.value)
 
 
-def test_manifest_rejects_onset_beyond_duration(tmp_path):
+def test_manifest_rejects_onset_beyond_duration(tmp_path, capsys):
+    # The onset is checked where the file is decoded, by each command that reads it.
     _write_clip(tmp_path / "short.wav", n=441)  # 10 ms
     m = tmp_path / "m.csv"
     m.write_text("path,onset_ms,surface,spin\nshort.wav,50.0,table,\n")
-    with pytest.raises(ValidationError, match="beyond duration"):
-        load_manifest(m)
+    out = tmp_path / "f.ttfe"
+    for argv in (
+        ["featurize", str(m), "--out", str(out)],
+        ["grid-search", str(m), "--gammas", "0.99", "--multipliers", "8"],
+    ):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "onset 50.0 ms beyond duration" in err and "short.wav" in err
+    assert not out.exists() and not (tmp_path / "f.ttfe.config").exists()
 
 
 def test_manifest_rejects_wrong_header(tmp_path):

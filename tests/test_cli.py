@@ -124,8 +124,9 @@ def test_featurize_decodes_each_file_once(tmp_path, monkeypatch):
     out = tmp_path / "f.ttfe"
     assert main(["featurize", str(manifest), "--out", str(out)]) == 0
     assert decodes == {"a.wav": 1, "b.wav": 1}
-    # One read for the manifest's duration check, one for the decode.
-    assert reads["a.wav"] == reads["b.wav"] == 2
+    # The manifest check opens no WAV; the decode is the only read, and the
+    # onsets are checked against the decoded clip.
+    assert reads["a.wav"] == reads["b.wav"] == 1
     records = read_feature_file(out)
     assert [r.surface for r in records] == [(10, 11)[i % 2] for i in range(12)]
     clip = load_wav(tmp_path / "a.wav")
@@ -385,6 +386,31 @@ def test_grid_search_outputs_table(tmp_path, capsys):
     assert lines[0].startswith("gamma,threshold_multiplier,")
     assert len(lines) == 5  # header + 2x2 grid
     assert "best:" in captured.err
+
+
+def test_grid_search_scores_a_manifest_of_mixed_rates(click_wav, click_48k_wav, tmp_path, capsys,
+                                                     monkeypatch):
+    import ttbounce.evaluate as evaluate
+
+    rows = ""
+    for wav, rate in ((click_wav, 44100), (click_48k_wav, 48000)):
+        onsets = click_fixture(seed=8, n_clicks=1, sample_rate=rate).onsets_s
+        rows += "".join(f"{wav.name},{o * 1000.0},table,\n" for o in onsets)
+    manifest = tmp_path / "m.csv"
+    manifest.write_text("path,onset_ms,surface,spin\n" + rows)
+    rates, detect = [], evaluate.detect_bounces
+
+    def spy(clip, *rest):
+        rates.append(clip.sample_rate)
+        return detect(clip, *rest)
+
+    monkeypatch.setattr(evaluate, "detect_bounces", spy)
+    argv = ["grid-search", str(manifest), "--gammas", "0.99", "--multipliers", "8"]
+    assert main(argv) == 0
+    assert sorted(rates) == [44100, 48000]
+    _, row = capsys.readouterr().out.strip().splitlines()
+    # Both clicks found, each within 5 ms of its labeled onset.
+    assert row.split(",")[2:5] == ["1", "1", "1"]
 
 
 def test_effective_config_printed_every_run(silence_wav, capsys):

@@ -9,9 +9,7 @@ from ttbounce import (
     FilterSpec,
     StreamingDetector,
     detect_bounces,
-    detect_streaming,
     extract_window,
-    stream_frames,
 )
 from ttbounce.cli import CONFIG_TABLE, config_from, parse_config_file
 from ttbounce.detect import frame_energies, frame_length, write_events_csv
@@ -230,9 +228,20 @@ def test_ema_stays_within_seen_energy_bounds(rng):
 # --- streaming ---------------------------------------------------------------------
 
 
+def _frames(clip, length):
+    """The clip's whole ``length``-sample frames as (index, samples); a partial one is dropped."""
+    return [(k, clip.samples[k * length : (k + 1) * length]) for k in range(len(clip) // length)]
+
+
+def _streamed(clip, cfg, spec):
+    """Every event of feeding the clip frame by frame to one detector at its rate."""
+    det = StreamingDetector(cfg, spec, clip.sample_rate)
+    return [ev for k, frame in _frames(clip, det.frame_length) for ev in det.process_frame(k, frame)]
+
+
 def test_streaming_click_onset_within_1_5_ms():
     clip = _click_clip(22050, noise_rms=5e-4)
-    events = list(detect_streaming(stream_frames(clip, 1.0), DetectorConfig(), FilterSpec()))
+    events = _streamed(clip, DetectorConfig(), FilterSpec())
     assert len(events) == 1
     assert abs(events[0].onset_s - 0.5) <= 1.5e-3
 
@@ -241,7 +250,7 @@ def test_streaming_event_emitted_in_triggering_frame():
     clip = _click_clip(22050)
     det = StreamingDetector(DetectorConfig(), FilterSpec())
     emitted_at = None
-    for idx, frame in stream_frames(clip, 1.0):
+    for idx, frame in _frames(clip, det.frame_length):
         events = det.process_frame(idx, frame)
         if events:
             emitted_at = idx
@@ -252,7 +261,9 @@ def test_streaming_event_emitted_in_triggering_frame():
 
 
 def test_empty_stream_yields_nothing():
-    assert list(detect_streaming(iter(()), DetectorConfig(), FilterSpec())) == []
+    # Shorter than one 1 ms frame, so no frame reaches the detector.
+    clip = AudioClip(samples=np.zeros(10), sample_rate=FS)
+    assert _streamed(clip, DetectorConfig(), FilterSpec()) == []
 
 
 def test_out_of_order_frame_rejected():
@@ -444,8 +455,7 @@ def test_batch_detection_makes_no_per_frame_step(monkeypatch):
 def test_streaming_equals_batch_events_on_fixtures(detection_fixtures):
     cfg, spec = DetectorConfig(), FilterSpec()
     for fx in detection_fixtures:
-        stream = list(detect_streaming(stream_frames(fx.clip, cfg.frame_ms), cfg, spec))
-        assert detect_bounces(fx.clip, cfg, spec) == stream
+        assert detect_bounces(fx.clip, cfg, spec) == _streamed(fx.clip, cfg, spec)
 
 
 def test_mean_onset_error_within_a_tenth_of_a_ms(detection_fixtures):
@@ -460,10 +470,11 @@ def test_mean_onset_error_within_a_tenth_of_a_ms(detection_fixtures):
     n_clicks=st.integers(1, 4),
     noise_rms=st.floats(1e-4, 3e-3),
     freq_hz=st.floats(6000.0, 18000.0),
+    rate=st.sampled_from([44100, 48000]),
 )
-def test_streaming_equals_batch_events_on_random_clips(seed, n_clicks, noise_rms, freq_hz):
-    """Clicks above and below the 10 kHz cutoff, at random places and loudness."""
-    fx = click_fixture(seed, n_clicks=n_clicks, noise_rms=noise_rms, freq_hz=freq_hz)
+def test_streaming_equals_batch_events_on_random_clips(seed, n_clicks, noise_rms, freq_hz, rate):
+    """Clicks above and below the 10 kHz cutoff, at random places and loudness,
+    at the dataset rate and at 48 kHz."""
+    fx = click_fixture(seed, rate, n_clicks=n_clicks, noise_rms=noise_rms, freq_hz=freq_hz)
     cfg, spec = DetectorConfig(), FilterSpec()
-    stream = list(detect_streaming(stream_frames(fx.clip, cfg.frame_ms), cfg, spec))
-    assert detect_bounces(fx.clip, cfg, spec) == stream
+    assert detect_bounces(fx.clip, cfg, spec) == _streamed(fx.clip, cfg, spec)

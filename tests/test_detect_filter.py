@@ -161,7 +161,7 @@ def test_zero_phase_magnitude_is_squared_response(default_sos):
 )
 def test_zero_phase_equals_written_out_pass_bitwise(seed, order, rate, cutoff_frac):
     sos = design_butterworth_highpass(
-        FilterSpec(order=order, cutoff_hz=cutoff_frac * rate / 2, sample_rate=rate)
+        FilterSpec(order=order, cutoff_hz=cutoff_frac * rate / 2), rate
     )
     gen = np.random.default_rng(seed)
     x = gen.standard_normal(int(gen.integers(6 * order + 1, 3000))) * gen.uniform(1e-3, 1.0)

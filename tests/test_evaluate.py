@@ -39,7 +39,7 @@ def test_identical_lists_match_perfectly():
 def test_empty_predictions_precision_vacuous():
     score = match_events([], [0.1, 0.2])
     assert score.precision == 1.0
-    assert score.precision_vacuous
+    assert score.matched + score.spurious == 0  # vacuous: no predictions at all
     assert score.recall == 0.0
     assert score.matched == 0 and score.missed == 2
 
