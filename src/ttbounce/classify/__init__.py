@@ -73,11 +73,9 @@ __all__ = [
 
 
 def features_for_model(model: Model, cells: np.ndarray) -> np.ndarray:
-    """Convert raw log-mel cells (N, 64, 7) to the model's input representation."""
-    cells = np.asarray(cells, dtype=np.float64)
-    if cells.ndim == 2:
-        cells = cells[None]
-    return family_of(model).inputs(cells)
+    """Convert raw log-mel cells, (N, 64, 7) or one (64, 7) window, to the model's
+    input representation."""
+    return family_of(model).inputs(np.asarray(cells, dtype=np.float64))
 
 
 def predict(model: Model, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -86,6 +84,7 @@ def predict(model: Model, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     Features must already match the model's representation: 64x7
     normalized mel for the CNN, flat 448 for the SVM, 20 MFCCs for the
     GMM (batched or single). A non-finite score raises NumericError.
+    Each row's scores have the bits of ``predict(m, X[i])``, whatever the batch.
     """
     family = family_of(model)
     shape = family.input_shape(model)

@@ -7,9 +7,9 @@ probabilities. Training runs in float64 with reverse-mode gradients
 written out by hand; finished models are quantized to float32 so the
 serialized form reproduces predictions bit-exactly.
 
-Inference runs channel-first, (C, N, H, W), with the arithmetic of the
-batch-first training layout; a finished model (read-only float32
-tensors) keeps its float64 inference operands, keyed on the tensors.
+Inference runs batch-first, ``_TILE`` windows at a time, with every GEMM
+stacked per window; a finished model (read-only float32 tensors) keeps
+its float64 inference operands, keyed on the tensors.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ RUNNING_MOMENTUM = 0.9  # running = m*running + (1-m)*batch
 DEFAULT_CHANNELS = (8, 16, 32, 32, 64, 64)
 DEFAULT_POOLS = (2, 4)
 DEFAULT_INPUT_SHAPE = (N_MELS, N_FRAMES)
+_TILE = 8  # windows per pass through the blocks at inference
 
 
 @dataclass
@@ -129,21 +130,28 @@ def new_cnn(
 # --- Layer primitives ---------------------------------------------------------
 
 
-def _patches(x: np.ndarray) -> np.ndarray:
-    """3x3 same-padded patches: (C, N, H, W) -> C-contiguous (C*9, N*H*W), rows in
-    (c, dy, dx) order. In a row-padded, flattened plane, entry (dy, dx) of pixel j
-    sits at j + dy*W + dx, so a row is one run; entries that wrap a row edge are zeroed."""
-    c, n, h, w = x.shape
-    xq = np.zeros((c, n, (h + 2) * w + 2), dtype=x.dtype)
-    xq[:, :, w + 1 : w + 1 + h * w].reshape(c, n, h, w)[...] = x  # a view: no copy of x
+def _taps(x: np.ndarray, order: tuple[int, ...] = (0, 1, 2, 3, 4, 5)) -> np.ndarray:
+    """3x3 same-padded patches of the (A, B, H, W) planes of ``x``, copied C-contiguous with
+    axes (a, b, dy, dx, h, w) in ``order``. In a row-padded, flattened plane, entry (dy, dx) of
+    pixel j sits at j + dy*W + dx, so one strided view holds them all; row-wrapped ones are zeroed."""
+    a, b, h, w = x.shape
+    xq = np.zeros((a, b, (h + 2) * w + 2), dtype=x.dtype)
+    xq[:, :, w + 1 : w + 1 + h * w].reshape(a, b, h, w)[...] = x  # a view: no copy of x
     s = xq.strides
     view = np.ndarray(  # as_strided, without its per-call overhead
-        (c, 3, 3, n, h * w), x.dtype, buffer=xq, strides=(s[0], w * s[2], s[2], s[1], s[2])
+        (a, b, 3, 3, h, w), x.dtype, buffer=xq, strides=(s[0], s[1], w * s[2], s[2], w * s[2], s[2])
     )
-    cols = view.copy().reshape(c, 3, 3, n, h, w)
-    cols[:, :, 0, :, :, 0] = 0.0
-    cols[:, :, 2, :, :, w - 1] = 0.0
-    return cols.reshape(c * 9, n * h * w)
+    cols = view.transpose(order).copy()
+    taps = cols.transpose([order.index(k) for k in range(6)])  # in (a, b, dy, dx, h, w) order
+    taps[:, :, :, 0, :, 0] = 0.0
+    taps[:, :, :, 2, :, w - 1] = 0.0
+    return cols
+
+
+def _patches(x: np.ndarray) -> np.ndarray:
+    """Training's GEMM operand: (C, N, H, W) -> (C*9, N*H*W), rows in (c, dy, dx) order."""
+    c, n, h, w = x.shape
+    return _taps(x, (0, 2, 3, 1, 4, 5)).reshape(c * 9, n * h * w)
 
 
 def _conv_forward(
@@ -311,22 +319,28 @@ def _infer_operands(model: CnnModel) -> list[tuple[np.ndarray, ...]]:
 
 
 def _infer(model: CnnModel, x: np.ndarray) -> np.ndarray:
-    """Probabilities (N, n_classes) for a channel-first (1, N, H, W) batch."""
-    for i, (w, b, mean, gamma, inv, beta) in enumerate(_infer_operands(model), start=1):
-        z = w @ _patches(x)
-        # In place, in the order of the batch-first conv + batchnorm expressions.
-        z += b
-        z -= mean
-        z *= gamma
-        z *= inv
-        z += beta
-        z *= z > 0  # ReLU; negatives become -0.0, as bn_out * (bn_out > 0) does
-        x = z.reshape(len(w), *x.shape[1:])  # the GEMM output is (F, N*H*W)
-        if i in model.pools:
-            x = _pool2(x)
-    # A transposed (non-contiguous) GAP can round the dense matmul differently.
-    gap = np.ascontiguousarray(x.mean(axis=(2, 3)).T)
-    return softmax(gap @ model.dense_w.T + model.dense_b)
+    """Probabilities (N, n_classes) for an (N, 1, H, W) batch; no row depends on the others."""
+    ops = _infer_operands(model)
+    gaps = []
+    for t in range(0, max(len(x), 1), _TILE):  # an empty batch is one empty tile
+        y = x[t : t + _TILE]
+        for i, (w, b, mean, gamma, inv, beta) in enumerate(ops, start=1):
+            n, _, h, wd = y.shape
+            # On a stack, matmul calls BLAS once per window with a lone window's operands.
+            z = np.matmul(w, _taps(y).reshape(n, w.shape[1], h * wd))
+            # In place, in the order of the batch-first conv + batchnorm expressions.
+            z += b
+            z -= mean
+            z *= gamma
+            z *= inv
+            z += beta
+            z *= z > 0  # ReLU; negatives become -0.0, as bn_out * (bn_out > 0) does
+            y = z.reshape(n, len(w), h, wd)
+            if i in model.pools:
+                y = _pool2(y)
+        gaps.append(y.mean(axis=(2, 3)))
+    gap = gaps[0] if len(gaps) == 1 else np.concatenate(gaps)
+    return softmax((gap[:, None, :] @ model.dense_w.T)[:, 0] + model.dense_b)
 
 
 def cnn_loss_and_grad(
@@ -490,7 +504,7 @@ def cnn_train(
 def predict_cnn(model: CnnModel, mels: np.ndarray) -> np.ndarray:
     """Probabilities (N, n_classes) for a batch of (or a single) mel matrix, under
     the running statistics; a pure function of the model and the input."""
-    return _infer(model, _as_batch(mels, model.input_shape).transpose(1, 0, 2, 3))
+    return _infer(model, _as_batch(mels, model.input_shape))
 
 
 # --- Family record ------------------------------------------------------------

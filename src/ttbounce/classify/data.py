@@ -82,19 +82,16 @@ def assemble_task(records: list[FeatureRecord], task: str) -> TaskDataset:
     )
 
 
-def mel_inputs(cells: np.ndarray) -> np.ndarray:
-    """Per-window z-scored log-mel matrices, the CNN input representation."""
-    return np.stack([normalize_cells(c) for c in cells])
+# The model input representations of raw log-mel cells, one window (64, 7) or
+# a batch (N, 64, 7): z-scored matrices for the CNN, the same flattened for the
+# SVM, and frame-averaged MFCC vectors for the GMM.
+mel_inputs = normalize_cells
+mfcc_inputs = mfcc_from_cells
 
 
 def flat_inputs(cells: np.ndarray) -> np.ndarray:
     """Flattened normalized cells, the SVM input representation."""
-    return mel_inputs(cells).reshape(len(cells), -1)
-
-
-def mfcc_inputs(cells: np.ndarray) -> np.ndarray:
-    """Frame-averaged MFCC vectors, the GMM input representation."""
-    return np.stack([mfcc_from_cells(c) for c in cells])
+    return normalize_cells(cells).reshape(*cells.shape[:-2], -1)
 
 
 def stratified_split(

@@ -103,9 +103,9 @@ def svm_train(
 
 
 def predict_svm(model: SvmModel, features: np.ndarray) -> np.ndarray:
-    """One-vs-rest decision scores (N, n_classes)."""
+    """One-vs-rest decision scores (N, n_classes); each row is its own (1, D) product."""
     x = np.atleast_2d(np.asarray(features, dtype=np.float64))
-    return x @ model.weights.astype(np.float64).T + model.bias.astype(np.float64)
+    return (x[:, None, :] @ model.weights.astype(np.float64).T)[:, 0] + model.bias.astype(np.float64)
 
 
 def _train(ds: TaskDataset, config: TrainConfig, svm_epochs: int, **_):

@@ -345,9 +345,12 @@ def cmd_grid_search(args: argparse.Namespace) -> int:
     noise = None
     if args.noise:
         noise = (load_wav(args.noise), args.snr_db if args.snr_db is not None else 10.0)
-    best, rows = grid_search_detector(
-        fixtures, gammas, multipliers, base_config=base_config, filter_spec=spec, noise=noise
-    )
+    try:
+        best, rows = grid_search_detector(
+            fixtures, gammas, multipliers, base_config=base_config, filter_spec=spec, noise=noise
+        )
+    except ParameterError as exc:  # name the manifest the fixtures came from
+        raise ParameterError(f"{args.manifest}: {exc}") from None
     lines = ["gamma,threshold_multiplier,precision,recall,f1,mean_abs_onset_error_ms"]
     for r in rows:
         lines.append(

@@ -276,8 +276,8 @@ def grid_search_detector(
 ) -> tuple[DetectorConfig, list[GridPoint]]:
     """Exhaustive sweep; best point maximizes detection F1, ties broken by
     lower mean absolute onset error."""
-    if not gamma_grid or not multiplier_grid:
-        raise ParameterError("gamma and multiplier grids must be nonempty")
+    if not fixtures or not gamma_grid or not multiplier_grid:
+        raise ParameterError("fixtures, gamma grid and multiplier grid must be nonempty")
     rows: list[GridPoint] = []
     best: tuple[float, float, DetectorConfig] | None = None
     for gamma in gamma_grid:
@@ -318,29 +318,21 @@ def end_to_end(
     surface_model: Model,
     spin_model: Model | None = None,
 ) -> list[AnnotatedEvent]:
-    """Detect bounces, then classify each window: surface always, spin only
-    when the predicted surface is a racket."""
+    """Detect bounces, then classify them with one ``predict`` per model: surface
+    for every window, spin for those whose predicted surface is a racket."""
     events = detect_bounces(clip, config, filter_spec)
-    annotated: list[AnnotatedEvent] = []
-    for ev in events:
-        window = extract_window(clip, ev)
-        cells = log_mel(window)
-        pred_ids, scores = predict(surface_model, features_for_model(surface_model, cells))
-        surface = surface_model.classes[int(pred_ids[0])]
-        spin = None
-        spin_scores = None
-        if spin_model is not None and surface in _RACKET_NAMES:
-            spin_ids, spin_scores_m = predict(spin_model, features_for_model(spin_model, cells))
-            spin = spin_model.classes[int(spin_ids[0])]
-            spin_scores = spin_scores_m[0]
-        annotated.append(
-            AnnotatedEvent(
-                onset_sample=ev.onset_sample,
-                onset_s=ev.onset_s,
-                surface=surface,
-                spin=spin,
-                surface_scores=scores[0],
-                spin_scores=spin_scores,
-            )
-        )
-    return annotated
+    if not events:
+        return []
+    cells = log_mel(np.stack([extract_window(clip, ev) for ev in events]))
+    surface_ids, surface_scores = predict(surface_model, features_for_model(surface_model, cells))
+    surfaces = [surface_model.classes[i] for i in surface_ids]
+    spins: list[tuple] = [(None, None)] * len(events)  # (spin, spin scores)
+    racket = [i for i, s in enumerate(surfaces) if s in _RACKET_NAMES and spin_model is not None]
+    if racket:
+        spin_ids, spin_scores = predict(spin_model, features_for_model(spin_model, cells[racket]))
+        for i, k, row in zip(racket, spin_ids, spin_scores):
+            spins[i] = (spin_model.classes[k], row)
+    return [
+        AnnotatedEvent(ev.onset_sample, ev.onset_s, surfaces[i], spins[i][0], surface_scores[i], spins[i][1])
+        for i, ev in enumerate(events)
+    ]

@@ -35,17 +35,15 @@ _HANN = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(N_FFT) / N_FFT)  # periodic
 
 
 def stft(window: np.ndarray) -> np.ndarray:
-    """Short-time Fourier transform, bins x frames, no centering.
-
-    Frame t covers samples [t*HOP, t*HOP + N_FFT); each frame is Hann
-    windowed and only the non-negative-frequency bins are kept.
-    """
-    x = np.asarray(window, dtype=np.float64)
-    if x.ndim != 1 or x.size < N_FFT:
+    """Short-time Fourier transform, (..., samples) -> (..., bins, frames), no centering:
+    frame t covers samples [t*HOP, t*HOP + N_FFT) and is Hann windowed; only the
+    non-negative-frequency bins are kept."""
+    x = np.ascontiguousarray(window, dtype=np.float64)
+    if x.shape[-1] < N_FFT:
         raise ParameterError(f"window of {x.size} samples is shorter than n_fft={N_FFT}")
-    n_frames = (x.size - N_FFT) // HOP + 1
-    frames = np.stack([x[t * HOP : t * HOP + N_FFT] for t in range(n_frames)])
-    return np.fft.rfft(frames * _HANN, axis=1).T
+    shape = (*x.shape[:-1], (x.shape[-1] - N_FFT) // HOP + 1, N_FFT)
+    frames = np.ndarray(shape, x.dtype, buffer=x, strides=(*x.strides[:-1], HOP * 8, 8))  # a view
+    return np.swapaxes(np.fft.rfft(frames * _HANN, axis=-1), -1, -2)
 
 
 def hz_to_mel(f: np.ndarray | float) -> np.ndarray | float:
@@ -103,25 +101,24 @@ _FILTERBANK = mel_filterbank()
 
 
 def log_mel(window: np.ndarray) -> np.ndarray:
-    """Log-compressed mel power matrix (N_MELS, frames), no normalization."""
+    """Log-compressed mel power, (..., samples) -> (..., N_MELS, frames), no normalization."""
     power = np.square(np.abs(stft(window)))
     return np.log(_FILTERBANK @ power + LOG_FLOOR)
 
 
 def normalize_cells(values: np.ndarray) -> np.ndarray:
-    """Z-score over all cells (population std). Constant input maps to zeros."""
-    mean = float(np.mean(values))
-    std = float(np.std(values))
-    if std <= 1e-12 * max(1.0, abs(mean)):
-        return np.zeros_like(values)
-    return (values - mean) / std
+    """Z-score each matrix of the last two axes (population std); a constant one maps to zeros."""
+    mean = np.mean(values, axis=(-2, -1), keepdims=True)
+    std = np.std(values, axis=(-2, -1), keepdims=True)
+    flat = std <= 1e-12 * np.maximum(1.0, np.abs(mean))
+    return np.divide(values - mean, std, out=np.zeros_like(values), where=~flat)
 
 
 def mfcc_from_cells(cells: np.ndarray) -> np.ndarray:
-    """Frame-averaged MFCCs: orthonormal DCT-II along the mel axis of the
-    pre-normalization log-mel cells, truncated to ``N_MFCC``."""
-    coeffs = dct(np.asarray(cells, dtype=np.float64), type=2, axis=0, norm="ortho")
-    return coeffs[:N_MFCC].mean(axis=1)
+    """Frame-averaged MFCCs, (..., N_MELS, frames) -> (..., N_MFCC): orthonormal DCT-II
+    along the mel axis of the pre-normalization log-mel cells, truncated."""
+    coeffs = dct(np.asarray(cells, dtype=np.float64), type=2, axis=-2, norm="ortho")
+    return coeffs[..., :N_MFCC, :].mean(axis=-1)
 
 
 # --- Feature container (TTFE1) -------------------------------------------------

@@ -275,3 +275,28 @@ def cnn_train_step_reference(model, mels: np.ndarray, labels: np.ndarray):
         dx, dw, db = conv_backward_reference(cols, in_shape, blk.w, dbn)
         grads["blocks"][i] = {"w": dw, "b": db, "gamma": dgamma, "beta": dbeta}
     return loss, grads, [(c[6], c[7]) for c in caches]
+
+
+def end_to_end_reference(clip, config, filter_spec, surface_model, spin_model=None):
+    """``evaluate.end_to_end`` as a per-event loop: each event's window is cut,
+    log-mel transformed and scored on its own, one ``predict`` call per model
+    per event; spin only where the predicted surface is a racket."""
+    from ttbounce.audio_io import SurfaceClass
+    from ttbounce.classify import features_for_model, predict
+    from ttbounce.detect import detect_bounces, extract_window
+    from ttbounce.evaluate import AnnotatedEvent
+    from ttbounce.features import log_mel
+
+    rackets = {s.name for s in SurfaceClass if s.is_racket}
+    annotated = []
+    for ev in detect_bounces(clip, config, filter_spec):
+        cells = log_mel(extract_window(clip, ev))
+        pred_ids, scores = predict(surface_model, features_for_model(surface_model, cells))
+        surface = surface_model.classes[int(pred_ids[0])]
+        spin = spin_scores = None
+        if spin_model is not None and surface in rackets:
+            spin_ids, spin_scores_m = predict(spin_model, features_for_model(spin_model, cells))
+            spin = spin_model.classes[int(spin_ids[0])]
+            spin_scores = spin_scores_m[0]
+        annotated.append(AnnotatedEvent(ev.onset_sample, ev.onset_s, surface, spin, scores[0], spin_scores))
+    return annotated

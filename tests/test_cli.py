@@ -388,6 +388,15 @@ def test_grid_search_outputs_table(tmp_path, capsys):
     assert "best:" in captured.err
 
 
+def test_grid_search_on_a_manifest_without_rows_exits_2(tmp_path, capsys):
+    manifest = tmp_path / "empty.csv"
+    manifest.write_text("path,onset_ms,surface,spin\n")
+    assert main(["grid-search", str(manifest), "--gammas", "0.99,0.995", "--multipliers", "8"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "best:" not in captured.err
+    assert f"error: {manifest}: " in captured.err
+
+
 def test_grid_search_scores_a_manifest_of_mixed_rates(click_wav, click_48k_wav, tmp_path, capsys,
                                                      monkeypatch):
     import ttbounce.evaluate as evaluate

@@ -1,4 +1,7 @@
-"""Channel-first CNN inference against the batch-first reference, bit for bit."""
+"""Tiled CNN inference against the batch-first reference, bit for bit.
+
+``predict_cnn`` scores each window as a lone window is scored, so a batch
+is compared with the reference applied to each of its windows alone."""
 
 import copy
 import itertools
@@ -10,7 +13,7 @@ import pytest
 from oracles import cnn_infer_reference, im2col_reference, maxpool2_reference
 from ttbounce.classify import TrainConfig, assemble_task, cnn_train, load_model, mel_inputs, new_cnn, predict, save_model
 from ttbounce.classify import cnn
-from ttbounce.classify.cnn import _infer_operands, _patches, _pool2, finalize_float32, predict_cnn
+from ttbounce.classify.cnn import _TILE, _infer_operands, _patches, _pool2, _taps, finalize_float32, predict_cnn
 from ttbounce.synth import two_band_records
 
 BATCHES = (1, 2, 7, 33)
@@ -32,8 +35,12 @@ def _finished(n_classes, pools, shape, seed):
     return finalize_float32(model)
 
 
+def _per_window_reference(model, x):
+    return np.stack([cnn_infer_reference(model, window)[0] for window in x])
+
+
 def _assert_matches_reference(model, x):
-    assert np.array_equal(predict_cnn(model, x), cnn_infer_reference(model, x))
+    assert np.array_equal(predict_cnn(model, x), _per_window_reference(model, x))
     assert np.array_equal(predict_cnn(model, x[0]), cnn_infer_reference(model, x[0]))
 
 
@@ -85,6 +92,19 @@ def test_patches_equal_reference_gather(rng, shape):
     assert got.flags.c_contiguous and got.shape == want.shape
     assert np.array_equal(got, want)
     assert not np.signbit(got[want == 0]).any()  # padding is +0.0, as np.zeros gives
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 64, 7), (3, 8, 32, 3), (2, 5, 16, 1), (4, 2, 1, 5), (0, 3, 8, 6)])
+def test_window_patches_equal_reference_gather(rng, shape):
+    """Inference's gather: per window, the reference patches of that window alone."""
+    x = rng.standard_normal(shape)
+    n, c, h, w = shape
+    got = _taps(x).reshape(n, c * 9, h * w)
+    assert got.flags.c_contiguous
+    for i in range(n):
+        want = im2col_reference(x[i : i + 1])
+        assert np.array_equal(got[i], want)
+        assert not np.signbit(got[i][want == 0]).any()
 
 
 def _ties(rng, shape):
@@ -152,11 +172,11 @@ def test_reassigned_tensor_rebuilds_operands(rng):
     blk.w = w
     after = predict_cnn(model, x)
     assert not np.array_equal(before, after)
-    assert np.array_equal(after, cnn_infer_reference(model, x))
+    assert np.array_equal(after, _per_window_reference(model, x))
     var = (blk.running_var + 1.0).astype(np.float32)
     var.flags.writeable = False
     blk.running_var = var
-    assert np.array_equal(predict_cnn(model, x), cnn_infer_reference(model, x))
+    assert np.array_equal(predict_cnn(model, x), _per_window_reference(model, x))
 
 
 def test_writable_tensor_is_read_on_every_call(rng):
@@ -166,7 +186,7 @@ def test_writable_tensor_is_read_on_every_call(rng):
     model.blocks[1].gamma = model.blocks[1].gamma.copy()  # writable again
     predict_cnn(model, x)
     model.blocks[1].gamma *= 2.0
-    assert np.array_equal(predict_cnn(model, x), cnn_infer_reference(model, x))
+    assert np.array_equal(predict_cnn(model, x), _per_window_reference(model, x))
 
 
 def test_deep_copy_made_writable_is_not_stale(rng):
@@ -175,7 +195,7 @@ def test_deep_copy_made_writable_is_not_stale(rng):
     predict_cnn(model, x)
     twin = copy.deepcopy(model)  # copies the kept operands and makes writable tensors
     twin.blocks[0].w *= -1.0
-    assert np.array_equal(predict_cnn(twin, x), cnn_infer_reference(twin, x))
+    assert np.array_equal(predict_cnn(twin, x), _per_window_reference(twin, x))
     assert not np.array_equal(predict_cnn(twin, x), predict_cnn(model, x))
 
 
@@ -186,7 +206,7 @@ def test_validation_pass_matches_reference(monkeypatch):
 
     def checked(model, mels):
         out = forward(model, mels)
-        assert np.array_equal(out, cnn_infer_reference(model, mels))
+        assert np.array_equal(out, _per_window_reference(model, mels))
         calls.append(len(mels))
         return out
 

@@ -179,6 +179,12 @@ def test_grid_search_empty_grid_rejected():
         grid_search_detector([], [], [8.0])
 
 
+def test_grid_search_without_fixtures_rejected():
+    # Nothing to score is not a perfect score.
+    with pytest.raises(ParameterError, match="fixtures"):
+        grid_search_detector([], [0.99, 0.995], [8.0])
+
+
 # --- end to end -------------------------------------------------------------------------
 
 

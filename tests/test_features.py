@@ -177,6 +177,40 @@ def test_mfcc_matches_dct_of_log_mel(rng):
     assert np.allclose(mfcc_from_cells(log_mel(window)), expected, atol=1e-12)
 
 
+# --- batched front end ------------------------------------------------------------------
+
+
+@pytest.fixture
+def window_batch(rng):
+    """Windows over four decades of level, one silent."""
+    windows = rng.standard_normal((41, 661)) * np.logspace(-3, 1, 41)[:, None]
+    windows[5] = 0.0
+    return windows
+
+
+def test_log_mel_of_a_stack_is_the_stack_of_log_mels(window_batch):
+    got = log_mel(window_batch)
+    assert got.shape == (41, 64, 7)
+    assert got.tobytes() == np.stack([log_mel(w) for w in window_batch]).tobytes()
+
+
+def test_batched_normalize_cells_is_per_window(window_batch):
+    cells = log_mel(window_batch)
+    cells[7] = 2.5  # a constant window: the zeros branch
+    for batch in (cells, cells.astype(np.float32)):
+        got = normalize_cells(batch)
+        want = np.stack([normalize_cells(c) for c in batch])
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert np.all(got[7] == 0.0) and not np.signbit(got[7]).any()
+
+
+def test_batched_mfcc_is_per_window(window_batch):
+    cells = log_mel(window_batch)
+    got = mfcc_from_cells(cells)
+    assert got.shape == (41, 20)
+    assert got.tobytes() == np.stack([mfcc_from_cells(c) for c in cells]).tobytes()
+
+
 # --- feature container -------------------------------------------------------------------
 
 
