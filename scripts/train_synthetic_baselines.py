@@ -31,7 +31,7 @@ def main() -> None:
 
     records = two_band_records(args.per_class, seed=args.seed)
     ds = assemble_task(records, "surface")
-    _, val_idx = stratified_split(ds.strata, ds.labels, len(ds.classes), args.seed)
+    _, val_idx = stratified_split(ds.strata, ds.labels, args.seed)
 
     print(f"{2 * args.per_class} records, {len(val_idx)} held out")
     print(f"{'method':<8} {'precision':>9} {'recall':>8} {'macro F1':>9} {'accuracy':>9} {'time s':>7}")

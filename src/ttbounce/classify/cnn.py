@@ -7,15 +7,14 @@ probabilities. Training runs in float64 with reverse-mode gradients
 written out by hand; finished models are quantized to float32 so the
 serialized form reproduces predictions bit-exactly.
 
-Inference runs batch-first, ``_TILE`` windows at a time, with every GEMM
-stacked per window; a finished model (read-only float32 tensors) keeps
-its float64 inference operands, keyed on the tensors.
+Inference is a pure function of the model: each call builds the float64
+operands from the tensors, then runs batch-first, ``_TILE`` windows at a
+time, with every GEMM stacked per window.
 """
 
 from __future__ import annotations
 
 import copy
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,8 +54,6 @@ class CnnModel:
     pools: tuple[int, ...]
     input_shape: tuple[int, int]
     meta: dict = field(default_factory=dict)
-    # (block tensors, their inference operands) once built for a finished model
-    _infer_ops: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n_classes(self) -> int:
@@ -300,27 +297,19 @@ def _train_forward(model: CnnModel, mels: np.ndarray) -> tuple[np.ndarray, dict]
     return probs, {"blocks": cache, "gap": gap, "gap_shape": x.shape, "probs": probs}
 
 
-def _infer_operands(model: CnnModel) -> list[tuple[np.ndarray, ...]]:
-    """Per block, in float64: the GEMM weight (F, C*9), then as (F, 1) columns conv bias,
-    running mean, gamma, 1/sqrt(running_var + eps) (in the tensors' dtype) and beta."""
-    key = [getattr(b, a) for b in model.blocks for a in _BLOCK_TENSORS.values()]
-    finished = all(t.dtype == np.float32 and not t.flags.writeable for t in key)
-    kept_key, kept_ops = model._infer_ops or ((), [])  # tensors held by reference, not id
-    if finished and len(kept_key) == len(key) and all(map(operator.is_, kept_key, key)):
-        return kept_ops
+def predict_cnn(model: CnnModel, mels: np.ndarray) -> np.ndarray:
+    """Probabilities (N, n_classes) for a batch of (or a single) mel matrix, under
+    the running statistics; a pure function of the model and the input, and no row
+    depends on the others."""
+    x = _as_batch(mels, model.input_shape)
+    # Per block, in float64: the GEMM weight (F, C*9), then as (F, 1) columns conv bias,
+    # running mean, gamma, 1/sqrt(running_var + eps) (in the tensors' dtype) and beta.
     col = lambda t: np.asarray(t, dtype=np.float64).reshape(-1, 1)
     ops = [
         (np.ascontiguousarray(b.w.reshape(len(b.w), -1), dtype=np.float64), col(b.b),
          col(b.running_mean), col(b.gamma), col(1.0 / np.sqrt(b.running_var + BN_EPS)), col(b.beta))
         for b in model.blocks
     ]
-    model._infer_ops = (key, ops) if finished else None
-    return ops
-
-
-def _infer(model: CnnModel, x: np.ndarray) -> np.ndarray:
-    """Probabilities (N, n_classes) for an (N, 1, H, W) batch; no row depends on the others."""
-    ops = _infer_operands(model)
     gaps = []
     for t in range(0, max(len(x), 1), _TILE):  # an empty batch is one empty tile
         y = x[t : t + _TILE]
@@ -423,7 +412,7 @@ def finalize_float32(model: CnnModel) -> CnnModel:
     for path, _ in _layout(_arch(model), model.n_classes).values():
         owner, attr = tensor_slot(model, path)
         arr = getattr(owner, attr).astype(np.float32)
-        arr.flags.writeable = False  # a finished model's inference operands are kept
+        arr.flags.writeable = False  # an in-place edit would make live and saved predictions differ
         setattr(owner, attr, arr)
     return model
 
@@ -448,9 +437,7 @@ def cnn_train(
     labels = np.asarray(labels)
     if len(mels) == 0:
         raise DataError("empty training set")
-    train_idx, val_idx = stratified_split(strata, labels, len(classes), config.seed)
-    if val_idx.size == 0:
-        raise DataError("validation split is empty; dataset too small")
+    train_idx, val_idx = stratified_split(strata, labels, config.seed)
     rng = np.random.default_rng(config.seed)
     model = new_cnn(
         classes, config.task, seed=config.seed, channels=channels, pools=pools,
@@ -499,12 +486,6 @@ def cnn_train(
                 break
     assert best_snapshot is not None
     return finalize_float32(best_snapshot), log
-
-
-def predict_cnn(model: CnnModel, mels: np.ndarray) -> np.ndarray:
-    """Probabilities (N, n_classes) for a batch of (or a single) mel matrix, under
-    the running statistics; a pure function of the model and the input."""
-    return _infer(model, _as_batch(mels, model.input_shape))
 
 
 # --- Family record ------------------------------------------------------------

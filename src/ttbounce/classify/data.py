@@ -11,6 +11,7 @@ from ..errors import DataError, ParameterError
 from ..features import FeatureRecord, mfcc_from_cells, normalize_cells
 
 TASKS = ("surface", "spin")
+VAL_FRACTION = 0.2  # of each stratum, rounded, held out for validation
 
 
 @dataclass(frozen=True)
@@ -91,20 +92,17 @@ mfcc_inputs = mfcc_from_cells
 
 def flat_inputs(cells: np.ndarray) -> np.ndarray:
     """Flattened normalized cells, the SVM input representation."""
-    return normalize_cells(cells).reshape(*cells.shape[:-2], -1)
+    return normalize_cells(cells).reshape(*cells.shape[:-2], cells.shape[-2] * cells.shape[-1])
 
 
 def stratified_split(
-    strata: np.ndarray,
-    labels: np.ndarray,
-    n_classes: int,
-    seed: int,
-    val_fraction: float = 0.2,
+    strata: np.ndarray, labels: np.ndarray, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Seeded stratified split by (surface, spin) pair.
 
-    Every stratum keeps at least one training sample. Raises if any class
-    observed in the data ends up absent from the training side.
+    Every stratum keeps at least one training sample. Raises DataError if
+    the validation side is empty, or if any class observed in the data ends
+    up absent from the training side.
     """
     rng = np.random.default_rng(seed)
     strata = np.asarray(strata)
@@ -114,7 +112,7 @@ def stratified_split(
     for key in keys:
         members = np.flatnonzero((strata == key).all(axis=1))
         members = members[rng.permutation(members.size)]
-        n_val = int(round(val_fraction * members.size))
+        n_val = int(round(VAL_FRACTION * members.size))
         n_val = min(n_val, members.size - 1)  # never empty the training side
         val_idx.extend(members[:n_val].tolist())
         train_idx.extend(members[n_val:].tolist())
@@ -123,6 +121,8 @@ def stratified_split(
     # Split hygiene: disjoint and jointly exhaustive.
     assert not set(train) & set(val)
     assert len(train) + len(val) == len(strata)
+    if val.size == 0:
+        raise DataError("validation split is empty; dataset too small")
     observed = set(np.unique(labels).tolist())
     missing = observed - set(np.unique(labels[train]).tolist())
     if missing:

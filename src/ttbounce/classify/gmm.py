@@ -16,6 +16,8 @@ from .data import TaskDataset, TrainConfig, mfcc_inputs, stratified_split
 from .family import ModelFamily
 
 VAR_FLOOR = 1e-6
+MAX_ITER = 200  # EM iterations per mixture at most
+TOL = 1e-6  # stop once an iteration gains less log-likelihood than this
 DEFAULT_COMPONENTS = 8
 
 
@@ -69,8 +71,6 @@ def fit_mixture(
     x: np.ndarray,
     k: int,
     rng: np.random.Generator,
-    max_iter: int = 200,
-    tol: float = 1e-6,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[float]]:
     """EM on one diagonal mixture; returns (weights, means, variances, LL trace)."""
     n, d = x.shape
@@ -78,7 +78,7 @@ def fit_mixture(
     variances = np.tile(np.maximum(x.var(axis=0), VAR_FLOOR), (k, 1))
     weights = np.full(k, 1.0 / k)
     trace: list[float] = []
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         joint = _component_logpdf(x, means, variances) + np.log(weights)[None]
         ll_rows = _logsumexp(joint, axis=1)
         trace.append(float(ll_rows.sum()))
@@ -91,7 +91,7 @@ def fit_mixture(
         new_vars = (resp.T @ (x**2)) / nk_safe[:, None] - new_means**2
         means = np.where(live[:, None], new_means, means)
         variances = np.where(live[:, None], np.maximum(new_vars, VAR_FLOOR), variances)
-        if len(trace) >= 2 and trace[-1] - trace[-2] < tol:
+        if len(trace) >= 2 and trace[-1] - trace[-2] < TOL:
             break
     return weights, means, variances, trace
 
@@ -102,8 +102,6 @@ def gmm_train(
     classes: tuple[str, ...],
     n_components: int = DEFAULT_COMPONENTS,
     seed: int = 0,
-    max_iter: int = 200,
-    tol: float = 1e-6,
     task: str = "surface",
 ) -> tuple[GmmModel, dict]:
     """Fit one mixture per observed class; priors are empirical frequencies.
@@ -128,9 +126,7 @@ def gmm_train(
             raise DataError(
                 f"class {classes[c]!r} has {xc.shape[0]} samples, fewer than K={n_components}"
             )
-        weights[c], means[c], variances[c], traces[classes[c]] = fit_mixture(
-            xc, n_components, rng, max_iter=max_iter, tol=tol
-        )
+        weights[c], means[c], variances[c], traces[classes[c]] = fit_mixture(xc, n_components, rng)
         priors[c] = xc.shape[0] / x.shape[0]
     model = GmmModel(
         priors=priors.astype(np.float32),
@@ -155,7 +151,7 @@ def predict_gmm(model: GmmModel, features: np.ndarray) -> np.ndarray:
 
 
 def _train(ds: TaskDataset, config: TrainConfig, gmm_components: int, **_):
-    train_idx, val_idx = stratified_split(ds.strata, ds.labels, len(ds.classes), config.seed)
+    train_idx, val_idx = stratified_split(ds.strata, ds.labels, config.seed)
     x = mfcc_inputs(ds.cells)
     model, info = gmm_train(
         x[train_idx],

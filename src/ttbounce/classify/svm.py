@@ -109,7 +109,7 @@ def predict_svm(model: SvmModel, features: np.ndarray) -> np.ndarray:
 
 
 def _train(ds: TaskDataset, config: TrainConfig, svm_epochs: int, **_):
-    train_idx, val_idx = stratified_split(ds.strata, ds.labels, len(ds.classes), config.seed)
+    train_idx, val_idx = stratified_split(ds.strata, ds.labels, config.seed)
     x = flat_inputs(ds.cells)
     return svm_train(
         x[train_idx],

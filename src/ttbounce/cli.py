@@ -280,9 +280,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             "warning: this is the model's own training file; "
             "scoring the held-out validation split only\n"
         )
-        _, indices = stratified_split(
-            ds.strata, ds.labels, len(ds.classes), int(model.meta.get("seed", 0))
-        )
+        _, indices = stratified_split(ds.strata, ds.labels, int(model.meta.get("seed", 0)))
     feats = features_for_model(model, ds.cells[indices])
     score = score_classifier(model, feats, ds.labels[indices])
     report = format_report(score) + "\n"

@@ -209,7 +209,7 @@ def test_c06_separable_fixture_learning():
     cnn_acc = max(r["val_acc"] for r in cnn_log)
     assert cnn_acc >= 0.98
 
-    train_idx, val_idx = stratified_split(ds.strata, ds.labels, len(ds.classes), 0)
+    train_idx, val_idx = stratified_split(ds.strata, ds.labels, 0)
     flat = flat_inputs(ds.cells)
     svm_model, _ = svm_train(flat[train_idx], ds.labels[train_idx], ds.classes, seed=0)
     svm_pred, _ = predict(svm_model, flat[val_idx])
@@ -244,7 +244,7 @@ def test_c07_dataset_reproduction():
     for task in ("surface", "spin"):
         ds = assemble_task(records, task)
         cfg = TrainConfig(task=task, seed=0)
-        _, val_idx = stratified_split(ds.strata, ds.labels, len(ds.classes), cfg.seed)
+        _, val_idx = stratified_split(ds.strata, ds.labels, cfg.seed)
         for method in ("cnn", "svm", "gmm"):
             model, _ = train_task_model(records, method, cfg)
             feats = features_for_model(model, ds.cells[val_idx])

@@ -339,6 +339,24 @@ def test_non_finite_feature_cell_is_format_error(nan_features_file):
 
 
 @pytest.mark.parametrize("method", ["cnn", "svm", "gmm"])
+def test_train_with_an_empty_validation_split_exits_3(method, tmp_path, capsys):
+    features = tmp_path / "four.ttfe"
+    write_feature_file(features, two_band_records(2, seed=4))  # 2 table, 2 floor: none held out
+    out = tmp_path / "m.ttsb"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["train", str(features), "--task", "surface", "--method", method,
+                     "--out", str(out), "--epochs", "1"])
+    assert code == 3 and not caught
+    err = capsys.readouterr().err
+    assert [ln for ln in err.splitlines() if ln.startswith("error:")] == [
+        "error: validation split is empty; dataset too small"
+    ]
+    assert "Warning" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("method", ["cnn", "svm", "gmm"])
 def test_train_on_non_finite_features_exits_3(method, nan_features_file, tmp_path, capsys):
     out = tmp_path / "m.ttsb"
     code = main(["train", str(nan_features_file), "--task", "surface", "--method", method,

@@ -246,7 +246,7 @@ def test_singleton_stratum_stays_in_training():
 
     labels = np.array([0, 0, 0, 1])
     strata = np.array([[0, -1], [0, -1], [0, -1], [5, -1]])
-    train_idx, val_idx = stratified_split(strata, labels, 2, seed=0)
+    train_idx, val_idx = stratified_split(strata, labels, seed=0)
     assert set(train_idx) | set(val_idx) == {0, 1, 2, 3}
     assert 3 in train_idx
 
@@ -261,7 +261,7 @@ def test_stratification_error_when_class_leaves_training_split():
     failed = False
     for seed in range(40):
         try:
-            stratified_split(strata, labels, 2, seed=seed)
+            stratified_split(strata, labels, seed=seed)
         except DataError as exc:
             assert "training split" in str(exc)
             failed = True

@@ -13,7 +13,7 @@ import pytest
 from oracles import cnn_infer_reference, im2col_reference, maxpool2_reference
 from ttbounce.classify import TrainConfig, assemble_task, cnn_train, load_model, mel_inputs, new_cnn, predict, save_model
 from ttbounce.classify import cnn
-from ttbounce.classify.cnn import _TILE, _infer_operands, _patches, _pool2, _taps, finalize_float32, predict_cnn
+from ttbounce.classify.cnn import _TILE, _patches, _pool2, _taps, finalize_float32, predict_cnn
 from ttbounce.synth import two_band_records
 
 BATCHES = (1, 2, 7, 33)
@@ -137,17 +137,7 @@ def test_model_with_tied_zero_activations(tmp_path):
     _assert_matches_reference(load_model(tmp_path / "m.ttsb"), x)
 
 
-# --- operands kept per finished model ------------------------------------------------
-
-
-def test_finished_model_keeps_operands(tmp_path):
-    model = _finished(2, (1,), (8, 6), seed=1)
-    assert _infer_operands(model) is _infer_operands(model)
-    save_model(model, tmp_path / "m.ttsb")
-    loaded = load_model(tmp_path / "m.ttsb")
-    assert _infer_operands(loaded) is _infer_operands(loaded)
-    training = new_cnn(("a", "b"), "spin", channels=(3,), pools=(), input_shape=(8, 6))
-    assert _infer_operands(training) is not _infer_operands(training)
+# --- read-only finished tensors; every call reads the tensors it is given ----------
 
 
 def test_finished_tensors_are_read_only(tmp_path):
@@ -193,7 +183,7 @@ def test_deep_copy_made_writable_is_not_stale(rng):
     model = _finished(2, (), (8, 6), seed=6)
     x = rng.standard_normal((3, 8, 6))
     predict_cnn(model, x)
-    twin = copy.deepcopy(model)  # copies the kept operands and makes writable tensors
+    twin = copy.deepcopy(model)  # writable tensors; it would also copy any cached operands
     twin.blocks[0].w *= -1.0
     assert np.array_equal(predict_cnn(twin, x), _per_window_reference(twin, x))
     assert not np.array_equal(predict_cnn(twin, x), predict_cnn(model, x))

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import gmm_scores_reference
-from ttbounce.classify import gmm_train, predict
+from ttbounce.classify import TrainConfig, gmm_train, predict, train_task_model
 from ttbounce.classify.gmm import VAR_FLOOR, fit_mixture, predict_gmm
 from ttbounce.errors import DataError
-from ttbounce.synth import gmm_blob_dataset
+from ttbounce.synth import gmm_blob_dataset, two_band_records
 
 
 def test_single_component_recovers_mean_and_population_variance(rng):
@@ -113,3 +113,10 @@ def test_scores_match_per_class_scipy_oracle(thirteen_class_model, rng):
     x = rng.standard_normal((25, 20)) * 4.0
     expected = gmm_scores_reference(m.priors, m.weights, m.means, m.variances, x)
     assert np.allclose(predict_gmm(m, x), expected, rtol=1e-9, atol=1e-9)
+
+
+def test_training_with_an_empty_validation_split_raises(recwarn):
+    records = two_band_records(2, seed=4)  # 2 table, 2 floor: no stratum holds one out
+    with pytest.raises(DataError, match="validation split is empty"):
+        train_task_model(records, "gmm", TrainConfig(), gmm_components=2)
+    assert not recwarn.list

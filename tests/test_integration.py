@@ -58,7 +58,7 @@ def spin_corpus():
 
 def _held_out_score(corpus, model, task, seed=0):
     ds = assemble_task(corpus, task)
-    _, val_idx = stratified_split(ds.strata, ds.labels, len(ds.classes), seed)
+    _, val_idx = stratified_split(ds.strata, ds.labels, seed)
     return (
         score_classifier(model, features_for_model(model, ds.cells[val_idx]), ds.labels[val_idx]),
         val_idx,

@@ -10,7 +10,7 @@ from ttbounce import evaluate
 from ttbounce.classify import METHODS, TrainConfig, features_for_model, predict, train_task_model
 from ttbounce.errors import DataError
 from ttbounce.evaluate import end_to_end
-from ttbounce.features import WINDOW_LEN, log_mel
+from ttbounce.features import N_FRAMES, N_MELS, WINDOW_LEN, log_mel
 from ttbounce.synth import band_noise_window, click_fixture, pink_noise, splice_window, two_band_records
 
 RACKET_BAND = (1500.0, 2500.0)  # racket_01 in the surface models below
@@ -62,6 +62,13 @@ def test_batch_row_has_the_bits_of_a_lone_window(models, family, n):
         one_ids, one = predict(model, x[i])
         assert scores[i].tobytes() == one[0].tobytes()
         assert ids[i] == one_ids[0]
+
+
+@pytest.mark.parametrize("family", METHODS)
+def test_empty_batch_of_raw_cells(models, family):
+    model = models[family][0]
+    ids, scores = predict(model, features_for_model(model, np.zeros((0, N_MELS, N_FRAMES))))
+    assert ids.shape == (0,) and scores.shape == (0, model.n_classes)
 
 
 @pytest.mark.parametrize("clip", sorted(CLIPS))
