@@ -111,6 +111,8 @@ def gmm_train(
     """
     x = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
+    if len(x) == 0:
+        raise DataError("empty training set")
     n_classes = len(classes)
     d = x.shape[1]
     rng = np.random.default_rng(seed)

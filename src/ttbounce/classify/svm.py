@@ -65,6 +65,8 @@ def svm_train(
     labels = np.asarray(labels)
     if np.unique(labels).size < 2:
         raise DataError("SVM training needs at least 2 classes present")
+    if val is not None and len(val[1]) == 0:
+        raise DataError("empty validation set")
     n, d = x.shape
     k_classes = len(classes)
     rng = np.random.default_rng(seed)

@@ -3,17 +3,14 @@
 Stage one of the pipeline: high-pass the signal (ball impacts carry energy
 around 11 kHz, speech does not), track 1 ms frame energies against an
 exponentially decaying average, and emit an event whenever a frame jumps a
-configurable multiple above that noise floor. Both modes filter causally,
-with the same filter and the same threshold arithmetic, so batch detection
-returns exactly the events of streaming the clip frame by frame. A causal
-filter cannot ring ahead of an impact, so onsets are not early.
+configurable multiple above that noise floor. The filter is causal, so it
+cannot ring ahead of an impact, and onsets are not early.
 
-Streaming mode steps the average one frame at a time. Batch mode has all
-frame energies up front, so it runs the average as the first-order IIR
-filter it is (``lfilter``) over a chunk of frames, jumps to the first frame
-above threshold, handles that trigger and the refractory run after it, and
-resumes; its Python work scales with above-threshold runs, not frames, and
-its events are bit-identical to stepping every frame.
+``StreamingDetector`` holds all of a stream's detector state. Batch
+detection is one ``feed`` of a clip's whole frames; live audio is fed in
+blocks of whole frames (``feed``) or one frame at a time
+(``process_frame``), and any split of a stream gives the events of one
+``feed``, bit for bit.
 
 ``extract_window`` then cuts each onset's classifier window. The module
 imports nothing from the classifiers; the CLI maps its config keys and
@@ -30,7 +27,7 @@ import numpy as np
 from scipy.signal import butter, lfilter, sosfilt, sosfiltfilt
 
 from .audio_io import DATASET_SAMPLE_RATE, AudioClip
-from .errors import DataError, ParameterError, ProtocolError
+from .errors import DataError, NumericError, ParameterError, ProtocolError
 from .features import PRE_ONSET, WINDOW_LEN
 
 
@@ -97,10 +94,7 @@ def frame_energies(x: np.ndarray, length: int) -> np.ndarray:
     """Mean squared amplitude over consecutive ``length``-sample frames; a trailing
     partial frame is dropped."""
     n_frames = x.size // length
-    if n_frames == 0:
-        return np.zeros(0)
-    trimmed = x[: n_frames * length]
-    return np.mean(np.square(trimmed).reshape(n_frames, length), axis=1)
+    return np.mean(np.square(x[: n_frames * length]).reshape(n_frames, length), axis=1)
 
 
 @dataclass(frozen=True)
@@ -134,29 +128,75 @@ class BounceEvent:
     ema_at_onset: float
 
 
-# Frames per lfilter call in the batch scan; past a trigger the rest of a
-# chunk is recomputed, so this trades calls per clip against wasted frames.
+# Frames per lfilter call in the scan; past a trigger the rest of a chunk is
+# recomputed, so this trades calls per clip against wasted frames.
 _SCAN_CHUNK = 512
 
 
-class _EnergyScanner:
-    """Shared threshold logic for the batch and streaming detectors.
+class StreamingDetector:
+    """One stream's detector, with its filter and frame length set at ``sample_rate``.
 
-    The average is seeded with the first frame's energy and is never
-    updated by frames above threshold, so detected peaks do not inflate
-    the noise-floor estimate.
+    The filter state carries over between calls, so any split of the stream
+    into ``feed`` and ``process_frame`` calls sees one causal pass. The
+    average starts at the first frame's energy; frames above threshold never
+    update it, so peaks do not inflate the noise floor. One instance per stream.
     """
 
-    def __init__(self, config: DetectorConfig, sample_rate: int):
+    def __init__(
+        self,
+        config: DetectorConfig,
+        filter_spec: FilterSpec,
+        sample_rate: int = DATASET_SAMPLE_RATE,
+    ):
+        self._sos = design_butterworth_highpass(filter_spec, sample_rate)
+        self._zi = np.zeros((self._sos.shape[0], 2))
         config.validate(sample_rate)
         self.config = config
         self.sample_rate = sample_rate
-        self.length = frame_length(sample_rate, config.frame_ms)
+        self.frame_length = frame_length(sample_rate, config.frame_ms)
         self.refractory_frames = math.ceil(config.refractory_ms / config.frame_ms)
+        self.next_frame = 0
         self.avg: float | None = None
         self.block_until = -1  # last suppressed frame index
 
-    def step(self, k: int, energy: float, frame: np.ndarray) -> BounceEvent | None:
+    def feed(self, samples: np.ndarray) -> list[BounceEvent]:
+        """The events in the stream's next whole frames, given as a 1-D array;
+        onsets count from the start of the stream."""
+        x = np.asarray(samples, dtype=np.float64)
+        if x.ndim != 1 or x.size % self.frame_length:
+            raise ProtocolError(
+                f"feed takes whole {self.frame_length}-sample frames in 1-D, got shape {x.shape}"
+            )
+        if x.size == 0:
+            return []
+        y, zi = sosfilt(self._sos, x, zi=self._zi)
+        energies = frame_energies(y, self.frame_length)
+        if not np.isfinite(energies).all():
+            raise NumericError(f"non-finite energy in frames from {self.next_frame}")
+        self._zi = zi
+        return self.scan(energies, y)
+
+    def process_frame(self, frame_index: int, samples: np.ndarray) -> list[BounceEvent]:
+        """The events of one frame, returned by the call that saw it."""
+        if frame_index != self.next_frame:
+            raise ProtocolError(f"frame {frame_index} out of order, expected {self.next_frame}")
+        x = np.asarray(samples, dtype=np.float64)
+        if x.shape != (self.frame_length,):
+            raise ProtocolError(
+                f"frame {frame_index} has shape {x.shape}, expected {self.frame_length} samples"
+            )
+        y, zi = sosfilt(self._sos, x, zi=self._zi)
+        energy = float(np.mean(np.square(y)))
+        if not math.isfinite(energy):
+            raise NumericError(f"non-finite energy in frame {frame_index}")
+        self._zi = zi
+        ev = self.step(energy, y)
+        return [ev] if ev is not None else []
+
+    def step(self, energy: float, frame: np.ndarray) -> BounceEvent | None:
+        """Frame ``next_frame``, filtered to ``frame``, against the threshold."""
+        k = self.next_frame
+        self.next_frame += 1
         cfg = self.config
         if self.avg is None:
             self.avg = energy
@@ -176,12 +216,12 @@ class _EnergyScanner:
         its preceding average is a trigger. After a trigger, the frames that
         stay above the unchanged threshold inside the refractory window are
         suppressed without an update, so they are skipped in one step.
-        ``filtered`` holds the samples the energies were taken from.
+        ``filtered`` holds the frames' samples; the first is frame ``next_frame``.
         """
         cfg = self.config
         gamma, mult, ema_floor = cfg.gamma, cfg.threshold_multiplier, cfg.ema_floor
         b, a = [1.0 - gamma], [1.0, -gamma]
-        length, n = self.length, energies.size
+        length, n, base = self.frame_length, energies.size, self.next_frame
         events = []
         k = 0
         if n and self.avg is None:
@@ -202,12 +242,13 @@ class _EnergyScanner:
             self.avg = float(before[j])
             floor_avg = max(self.avg, ema_floor)
             ev = self._trigger(
-                k, float(energies[k]), filtered[k * length : (k + 1) * length], floor_avg
+                base + k, float(energies[k]), filtered[k * length : (k + 1) * length], floor_avg
             )
             if ev is not None:
                 events.append(ev)
-            held = energies[k + 1 : min(self.block_until + 1, n)] > mult * floor_avg
+            held = energies[k + 1 : min(self.block_until - base + 1, n)] > mult * floor_avg
             k += 1 + (held.size if held.all() else int(np.argmin(held)))
+        self.next_frame = base + n
         return events
 
     def _trigger(
@@ -217,7 +258,7 @@ class _EnergyScanner:
         if k <= self.block_until:
             return None  # no event, and no update of the average
         self.block_until = k + self.refractory_frames
-        onset = k * self.length + self._refine(frame, floor_avg)
+        onset = k * self.frame_length + self._refine(frame, floor_avg)
         return BounceEvent(
             onset_sample=onset,
             onset_s=onset / self.sample_rate,
@@ -238,58 +279,13 @@ def detect_bounces(
 ) -> list[BounceEvent]:
     """Detect bounce onsets in a recording (batch mode).
 
-    One causal pass of the high-pass, designed at the clip's rate, over the
-    whole clip, then the scan: the events equal those of feeding the clip's
-    frames to a ``StreamingDetector`` at that rate. Onsets index into the
+    One ``feed`` of the clip's whole frames to a fresh detector at the
+    clip's rate; a trailing partial frame is dropped. Onsets index into the
     unfiltered signal and are refined to the first threshold-crossing
     sample inside the triggering frame.
     """
-    filtered = sosfilt(design_butterworth_highpass(filter_spec, clip.sample_rate), clip.samples)
-    scanner = _EnergyScanner(config, clip.sample_rate)
-    return scanner.scan(frame_energies(filtered, scanner.length), filtered)
-
-
-class StreamingDetector:
-    """Stateful one-stream detector over fixed-length frames.
-
-    The filter carries its state from frame to frame, so the frames see the
-    one causal pass that batch detection runs over a whole clip. An event
-    for a frame is returned by the same ``process_frame`` call that saw the
-    frame. ``sample_rate`` is the rate of the stream's audio; the filter and
-    the frame length are set at it. Instances are single-stream: never share
-    one across concurrent streams.
-    """
-
-    def __init__(
-        self,
-        config: DetectorConfig,
-        filter_spec: FilterSpec,
-        sample_rate: int = DATASET_SAMPLE_RATE,
-    ):
-        self._sos = design_butterworth_highpass(filter_spec, sample_rate)
-        self._zi = np.zeros((self._sos.shape[0], 2))
-        self.scanner = _EnergyScanner(config, sample_rate)
-        self.next_frame = 0
-
-    @property
-    def frame_length(self) -> int:
-        return self.scanner.length
-
-    def process_frame(self, frame_index: int, samples: np.ndarray) -> list[BounceEvent]:
-        if frame_index != self.next_frame:
-            raise ProtocolError(
-                f"frame {frame_index} out of order, expected {self.next_frame}"
-            )
-        x = np.asarray(samples, dtype=np.float64)
-        if x.shape != (self.scanner.length,):
-            raise ProtocolError(
-                f"frame {frame_index} has {x.size} samples, expected {self.scanner.length}"
-            )
-        self.next_frame += 1
-        y, self._zi = sosfilt(self._sos, x, zi=self._zi)
-        energy = float(np.mean(np.square(y)))
-        ev = self.scanner.step(frame_index, energy, y)
-        return [ev] if ev is not None else []
+    det = StreamingDetector(config, filter_spec, clip.sample_rate)
+    return det.feed(clip.samples[: len(clip) // det.frame_length * det.frame_length])
 
 
 def extract_window(clip: AudioClip, event: BounceEvent | int) -> np.ndarray:

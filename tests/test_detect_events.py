@@ -13,7 +13,7 @@ from ttbounce import (
 )
 from ttbounce.cli import CONFIG_TABLE, config_from, parse_config_file
 from ttbounce.detect import frame_energies, frame_length, write_events_csv
-from ttbounce.errors import ParameterError, ProtocolError
+from ttbounce.errors import NumericError, ParameterError, ProtocolError
 from ttbounce.evaluate import run_detection_benchmark
 from ttbounce.synth import click_fixture, damped_tone, fixture_set, pink_noise
 
@@ -70,32 +70,30 @@ def test_subsample_frame_rejected():
 
 
 # --- EMA -------------------------------------------------------------------------
-# The average as ``_EnergyScanner.step`` updates it, over energies that stay
+# The average as ``StreamingDetector.step`` updates it, over energies that stay
 # below the threshold (100 x a floor of at least 1, against energies <= 10).
 
 
-def _ema_scanner(gamma: float, avg0: float):
-    from ttbounce.detect import _EnergyScanner
-
+def _ema_detector(gamma: float, avg0: float):
     cfg = DetectorConfig(gamma=gamma, threshold_multiplier=100.0, ema_floor=1.0)
-    scanner = _EnergyScanner(cfg, FS)
-    scanner.avg = avg0
-    return scanner
+    det = StreamingDetector(cfg, FilterSpec(), FS)
+    det.avg = avg0
+    return det
 
 
-def _ema_steps(scanner, e: float, k: int) -> float:
-    frame = np.zeros(scanner.length)
-    for i in range(k):
-        assert scanner.step(i, e, frame) is None
-    return scanner.avg
+def _ema_steps(det, e: float, k: int) -> float:
+    frame = np.zeros(det.frame_length)
+    for _ in range(k):
+        assert det.step(e, frame) is None
+    return det.avg
 
 
 def test_ema_single_step():
-    assert _ema_steps(_ema_scanner(0.9, 0.0), 1.0, 1) == pytest.approx(0.1, abs=1e-15)
+    assert _ema_steps(_ema_detector(0.9, 0.0), 1.0, 1) == pytest.approx(0.1, abs=1e-15)
 
 
 def test_ema_converges_to_constant_input():
-    assert _ema_steps(_ema_scanner(0.9, 5.0), 2.0, 5000) == pytest.approx(2.0, abs=1e-12)
+    assert _ema_steps(_ema_detector(0.9, 5.0), 2.0, 5000) == pytest.approx(2.0, abs=1e-12)
 
 
 @given(
@@ -105,7 +103,7 @@ def test_ema_converges_to_constant_input():
     st.integers(min_value=1, max_value=200),
 )
 def test_ema_closed_form(gamma, avg0, e, k):
-    avg = _ema_steps(_ema_scanner(gamma, avg0), e, k)
+    avg = _ema_steps(_ema_detector(gamma, avg0), e, k)
     # Oracle: closed form of the recursion.
     expected = gamma**k * avg0 + (1 - gamma**k) * e
     assert avg == pytest.approx(expected, abs=1e-12)
@@ -113,7 +111,7 @@ def test_ema_closed_form(gamma, avg0, e, k):
 
 def test_ema_rejects_bad_gamma():
     with pytest.raises(ParameterError):
-        _ema_scanner(1.0, 0.0)
+        _ema_detector(1.0, 0.0)
 
 
 # --- batch detection ---------------------------------------------------------------
@@ -210,19 +208,18 @@ def test_raising_threshold_never_adds_events(seed):
 def test_ema_stays_within_seen_energy_bounds(rng):
     # After warm-up the average is a convex combination of non-triggering
     # frame energies.
-    from ttbounce.detect import _EnergyScanner
-
     x = 0.05 * rng.standard_normal(FS)
-    scanner = _EnergyScanner(DetectorConfig(), FS)
-    energies = frame_energies(x, scanner.length)
+    det = StreamingDetector(DetectorConfig(), FilterSpec(), FS)
+    length = det.frame_length
+    energies = frame_energies(x, length)
     seen = []
     for k, e in enumerate(energies):
-        before = scanner.avg
-        scanner.step(k, float(e), x[k * scanner.length : (k + 1) * scanner.length])
-        if scanner.avg != before or before is None:
+        before = det.avg
+        det.step(float(e), x[k * length : (k + 1) * length])
+        if det.avg != before or before is None:
             seen.append(float(e))
         if seen:
-            assert min(seen) - 1e-15 <= scanner.avg <= max(seen) + 1e-15
+            assert min(seen) - 1e-15 <= det.avg <= max(seen) + 1e-15
 
 
 # --- streaming ---------------------------------------------------------------------
@@ -237,6 +234,10 @@ def _streamed(clip, cfg, spec):
     """Every event of feeding the clip frame by frame to one detector at its rate."""
     det = StreamingDetector(cfg, spec, clip.sample_rate)
     return [ev for k, frame in _frames(clip, det.frame_length) for ev in det.process_frame(k, frame)]
+
+
+def _state(det):
+    return det.avg, det.block_until, det.next_frame
 
 
 def test_streaming_click_onset_within_1_5_ms():
@@ -277,6 +278,110 @@ def test_wrong_frame_length_rejected():
     det = StreamingDetector(DetectorConfig(), FilterSpec())
     with pytest.raises(ProtocolError, match="samples"):
         det.process_frame(0, np.zeros(det.frame_length + 1))
+
+
+def test_wrong_frame_shape_is_named():
+    det = StreamingDetector(DetectorConfig(), FilterSpec())
+    with pytest.raises(ProtocolError, match=r"has shape \(44, 1\), expected 44 samples"):
+        det.process_frame(0, np.zeros((44, 1)))
+    assert _state(det) == (None, -1, 0)
+
+
+@pytest.mark.parametrize("shape", [(43,), (45,), (89,), (2, 44), (44, 1)])
+def test_feed_takes_only_whole_frames_in_1d(shape):
+    det = StreamingDetector(DetectorConfig(), FilterSpec())
+    with pytest.raises(ProtocolError, match="whole 44-sample frames"):
+        det.feed(np.zeros(shape))
+    assert _state(det) == (None, -1, 0)
+
+
+def test_feed_of_no_frames_yields_nothing():
+    det = StreamingDetector(DetectorConfig(), FilterSpec())
+    assert det.feed(np.zeros(0)) == []
+    assert _state(det) == (None, -1, 0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    refractory_ms=st.sampled_from([0.0, 10.0, 30.0]),
+    data=st.data(),
+)
+def test_any_whole_frame_split_through_feed_and_process_frame_equals_batch(
+    seed, refractory_ms, data
+):
+    """Pieces cut at random frames, inside each click and inside the refractory
+    run after it, each fed by ``feed`` or frame by frame by ``process_frame``."""
+    fx = click_fixture(seed, FS, n_clicks=3)
+    x = fx.clip.samples.copy()
+    again = round(fx.onsets_s[0] * FS) + int(0.015 * FS)  # a re-trigger 15 ms after a click
+    burst = damped_tone(FS, amp=0.5)
+    x[again : again + burst.size] += burst
+    clip = AudioClip(samples=x, sample_rate=FS)
+    cfg, spec = DetectorConfig(refractory_ms=refractory_ms), FilterSpec()
+
+    batch = StreamingDetector(cfg, spec, FS)
+    length = batch.frame_length
+    n_frames = len(clip) // length
+    expected = batch.feed(clip.samples[: n_frames * length])
+    assert _event_bits(expected) == _event_bits(detect_bounces(clip, cfg, spec))
+    assert len(expected) >= 3
+
+    cuts = {0, n_frames}
+    for onset in [round(t * FS) for t in fx.onsets_s] + [again]:
+        k = onset // length
+        cuts |= {k, k + 1, k + 2, k + batch.refractory_frames // 2, k + batch.refractory_frames}
+    cuts |= set(data.draw(st.lists(st.integers(1, n_frames - 1), max_size=8)))
+    edges = sorted(c for c in cuts if 0 <= c <= n_frames)
+    by_feed = data.draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+
+    det, got = StreamingDetector(cfg, spec, FS), []
+    for lo, hi, feed in zip(edges, edges[1:], by_feed):
+        piece = clip.samples[lo * length : hi * length]
+        if feed:
+            got += det.feed(piece)
+        else:
+            for k in range(lo, hi):
+                got += det.process_frame(k, piece[(k - lo) * length : (k - lo + 1) * length])
+    assert _event_bits(got) == _event_bits(expected)
+    assert _state(det) == _state(batch)
+
+
+# --- non-finite audio ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_sample_in_batch_raises(bad):
+    clip = _click_clip(22050, noise_rms=1e-3)
+    assert len(detect_bounces(clip, DetectorConfig(), FilterSpec())) == 1
+    x = clip.samples.copy()
+    x[100] = bad
+    with pytest.raises(NumericError, match="non-finite"):
+        detect_bounces(AudioClip(samples=x, sample_rate=FS), DetectorConfig(), FilterSpec())
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("how", ["feed", "process_frame"])
+def test_refused_non_finite_frame_leaves_the_detector_as_it_was(bad, how):
+    clip = _click_clip(22050, noise_rms=1e-3)
+    cfg, spec = DetectorConfig(), FilterSpec()
+    det = StreamingDetector(cfg, spec)
+    length = det.frame_length
+    split = 400 * length  # before the click, at frame 501
+    got = det.feed(clip.samples[:split])
+    state, zi = _state(det), det._zi.copy()
+    block = clip.samples[split : split + 10 * length].copy()
+    block[5 * length + 3] = bad
+    with pytest.raises(NumericError, match="non-finite"):
+        if how == "feed":
+            det.feed(block)
+        else:
+            det.process_frame(det.next_frame, block[5 * length : 6 * length])
+    assert _state(det) == state
+    assert np.array_equal(det._zi, zi)
+    got += det.feed(clip.samples[split : len(clip) // length * length])
+    assert got == detect_bounces(clip, cfg, spec)
+    assert len(got) == 1
 
 
 # --- window extraction ----------------------------------------------------------------
@@ -368,10 +473,10 @@ def test_detector_config_validation():
 # --- vectorised batch scan --------------------------------------------------------------
 
 
-def _step_all(scanner, energies, filtered):
-    length, events = scanner.length, []
+def _step_all(det, energies, filtered):
+    length, events = det.frame_length, []
     for k in range(energies.size):
-        ev = scanner.step(k, float(energies[k]), filtered[k * length : (k + 1) * length])
+        ev = det.step(float(energies[k]), filtered[k * length : (k + 1) * length])
         if ev is not None:
             events.append(ev)
     return events
@@ -396,8 +501,6 @@ def _event_bits(events):
     st.integers(0, 2500),
 )
 def test_scan_equals_step_loop_exactly(seed, rate, gamma, mult, refractory_ms, ema_floor, kind, n):
-    from ttbounce.detect import _EnergyScanner
-
     cfg = DetectorConfig(
         gamma=gamma, threshold_multiplier=mult, refractory_ms=refractory_ms, ema_floor=ema_floor
     )
@@ -409,19 +512,18 @@ def test_scan_equals_step_loop_exactly(seed, rate, gamma, mult, refractory_ms, e
     elif kind == "wide":
         energies = 10 ** gen.uniform(-300, 3, n)
         energies[gen.random(n) < 0.3] = 0.0
-    stepped, scanned = _EnergyScanner(cfg, rate), _EnergyScanner(cfg, rate)
-    length = stepped.length
+    spec = FilterSpec(cutoff_hz=rate / 4)  # the default 10 kHz is above Nyquist at 8 kHz
+    stepped, scanned = StreamingDetector(cfg, spec, rate), StreamingDetector(cfg, spec, rate)
+    length = stepped.frame_length
     filtered = gen.standard_normal(n * length) * np.sqrt(np.repeat(energies, length))
     expected = _step_all(stepped, energies, filtered)
     got = scanned.scan(energies, filtered)
     assert _event_bits(got) == _event_bits(expected)
-    assert (scanned.avg, scanned.block_until) == (stepped.avg, stepped.block_until)
+    assert _state(scanned) == _state(stepped)
 
 
 def test_scan_near_float_max_is_silent_and_equals_step_loop():
     import warnings
-
-    from ttbounce.detect import _EnergyScanner
 
     cfg = DetectorConfig()
     gen = np.random.default_rng(5)
@@ -430,24 +532,22 @@ def test_scan_near_float_max_is_silent_and_equals_step_loop():
     loud, quiet = gen.uniform(1e307, 1.7e308, (3, 200)), np.full((3, 1000), 1e305)
     quiet[:, 900] = 1.7e308
     energies = np.concatenate([loud, quiet], axis=1).ravel()
-    stepped, scanned = _EnergyScanner(cfg, FS), _EnergyScanner(cfg, FS)
-    filtered = np.sqrt(np.repeat(energies, stepped.length))
+    stepped, scanned = StreamingDetector(cfg, FilterSpec()), StreamingDetector(cfg, FilterSpec())
+    filtered = np.sqrt(np.repeat(energies, stepped.frame_length))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         expected = _step_all(stepped, energies, filtered)
         got = scanned.scan(energies, filtered)
     assert expected
     assert _event_bits(got) == _event_bits(expected)
-    assert (scanned.avg, scanned.block_until) == (stepped.avg, stepped.block_until)
+    assert _state(scanned) == _state(stepped)
 
 
 def test_batch_detection_makes_no_per_frame_step(monkeypatch):
-    from ttbounce.detect import _EnergyScanner
-
     def no_step(*_):
         raise AssertionError("batch detection stepped a frame")
 
-    monkeypatch.setattr(_EnergyScanner, "step", no_step)
+    monkeypatch.setattr(StreamingDetector, "step", no_step)
     fx = fixture_set(1, seed=4, n_clicks=3)[0]
     assert len(detect_bounces(fx.clip, DetectorConfig(), FilterSpec())) == 3
 

@@ -53,6 +53,12 @@ def test_class_smaller_than_k_rejected(rng):
         gmm_train(x, y, ("big", "tiny"), n_components=5, seed=0)
 
 
+def test_empty_training_set_rejected(rng):
+    x = rng.standard_normal((10, 3))
+    with pytest.raises(DataError, match="empty training set"):
+        gmm_train(x[:0], np.zeros(0, dtype=int), ("a", "b"), n_components=1, seed=0)
+
+
 def test_single_class_always_predicted(rng):
     x = rng.standard_normal((30, 4))
     model, _ = gmm_train(x, np.zeros(30, dtype=int), ("only",), n_components=2, seed=0)

@@ -51,6 +51,13 @@ def test_single_class_rejected(rng):
         svm_train(x, np.zeros(10, dtype=int), ("only",), seed=0)
 
 
+def test_empty_validation_set_rejected(rng, recwarn):
+    x, y = _blobs(rng, n=5)
+    with pytest.raises(DataError, match="empty validation set"):
+        svm_train(x, y, ("a", "b"), seed=0, val=(x[:0], y[:0]))
+    assert not recwarn.list
+
+
 def test_training_is_deterministic(rng):
     x, y = _blobs(rng)
     m1, log1 = svm_train(x, y, ("a", "b"), seed=11)
